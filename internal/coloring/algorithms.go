@@ -22,17 +22,18 @@ func (a LinialAlgorithm) Name() string { return "linial-coloring" }
 
 // NewMachine implements sim.Algorithm.
 func (a LinialAlgorithm) NewMachine(info sim.NodeInfo) sim.Machine {
-	r, err := NewReducer(info.ID, a.Delta, IDSpace63)
-	if err != nil {
+	m := &linialMachine{send: make([]any, info.Degree)}
+	if err := m.reducer.init(info.ID, a.Delta, IDSpace63); err != nil {
 		// Construction can only fail on delta < 1, a static misuse.
 		panic(err)
 	}
-	return &linialMachine{info: info, reducer: r}
+	return m
 }
 
 type linialMachine struct {
-	info    sim.NodeInfo
-	reducer *Reducer
+	reducer Reducer
+	// send is reused every round (the sim.Machine.Step buffer rules).
+	send []any
 }
 
 // colorMsg carries a node's current color.
@@ -40,7 +41,13 @@ type colorMsg struct{ color int64 }
 
 func (m *linialMachine) Step(round int, recv []any) ([]any, bool) {
 	if round > 0 {
-		nbr := make([]int64, len(recv))
+		var buf [stackDegree]int64
+		var nbr []int64
+		if len(recv) <= len(buf) {
+			nbr = buf[:len(recv)]
+		} else {
+			nbr = make([]int64, len(recv))
+		}
 		for i, msg := range recv {
 			nbr[i] = -1
 			if cm, ok := msg.(colorMsg); ok {
@@ -56,11 +63,12 @@ func (m *linialMachine) Step(round int, recv []any) ([]any, bool) {
 			return nil, true
 		}
 	}
-	send := make([]any, m.info.Degree)
-	for i := range send {
-		send[i] = colorMsg{color: m.reducer.Color()}
+	// One boxed message serves every port.
+	msg := any(colorMsg{color: m.reducer.Color()})
+	for i := range m.send {
+		m.send[i] = msg
 	}
-	return send, false
+	return m.send, false
 }
 
 func (m *linialMachine) Output() any { return m.reducer.Color() }
@@ -93,20 +101,19 @@ type endpointMsg struct {
 
 type twoColorMachine struct {
 	info sim.NodeInfo
-	// ends[p] is the endpoint info learned from the direction of port p.
-	ends  []endpointMsg
-	known []bool
-	sent  []bool
-	out   int64
+	// ends[p] is the endpoint info learned from the direction of port p. A
+	// path node has at most two ports; no port beyond them is ever read.
+	ends  [2]endpointMsg
+	known [2]bool
+	sent  [2]bool
+	// send is reused by the steps that send (the sim.Machine.Step buffer
+	// rules); a step that sends nothing returns nil.
+	send [2]any
+	out  int64
 }
 
 func (m *twoColorMachine) Step(round int, recv []any) ([]any, bool) {
-	if m.ends == nil {
-		m.ends = make([]endpointMsg, m.info.Degree)
-		m.known = make([]bool, m.info.Degree)
-		m.sent = make([]bool, m.info.Degree)
-	}
-	for p, msg := range recv {
+	for p, msg := range recv[:min(len(recv), len(m.ends))] {
 		if em, ok := msg.(endpointMsg); ok && !m.known[p] {
 			m.ends[p] = em
 			m.known[p] = true
@@ -120,7 +127,8 @@ func (m *twoColorMachine) Step(round int, recv []any) ([]any, bool) {
 		// Endpoint: announce self once, then wait for the other endpoint.
 		var send []any
 		if !m.sent[0] {
-			send = []any{endpointMsg{id: m.info.ID, dist: 1}}
+			m.send[0] = endpointMsg{id: m.info.ID, dist: 1}
+			send = m.send[:1]
 			m.sent[0] = true
 		}
 		if m.known[0] {
@@ -129,12 +137,14 @@ func (m *twoColorMachine) Step(round int, recv []any) ([]any, bool) {
 		}
 		return send, false
 	default: // degree 2 interior node
-		send := make([]any, 2)
+		var send []any
 		for p := 0; p < 2; p++ {
 			other := 1 - p
+			m.send[p] = nil
 			if m.known[other] && !m.sent[p] {
-				send[p] = endpointMsg{id: m.ends[other].id, dist: m.ends[other].dist + 1}
+				m.send[p] = endpointMsg{id: m.ends[other].id, dist: m.ends[other].dist + 1}
 				m.sent[p] = true
+				send = m.send[:]
 			}
 		}
 		if m.known[0] && m.known[1] {

@@ -175,6 +175,20 @@ func TestLinialColorsTreesWithDeltaPlus1(t *testing.T) {
 			t.Fatalf("trial %d: edge {%d,%d} monochromatic", trial, u, v)
 		}
 	}
+	// A center of degree 12 exceeds the machine's stack scratch; its schedule
+	// (830 rounds) outlasts the default round limit of a 13-node run.
+	star, err := graph.BuildStar(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.NewEngine(sim.WithIDs(sim.DefaultIDs(13, 3)), sim.WithMaxRounds(1000)).
+		Run(star, LinialAlgorithm{Delta: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, u, v := VerifyProperColoring(star, colorsOf(res)); !ok {
+		t.Fatalf("star: edge {%d,%d} monochromatic", u, v)
+	}
 }
 
 func TestQuickLinialProperOnRandomPathsAndSeeds(t *testing.T) {
@@ -218,6 +232,10 @@ func TestTwoColorPathProper(t *testing.T) {
 		}
 		if ok, u, v := VerifyProperColoring(tr, colors); !ok {
 			t.Fatalf("n=%d: edge {%d,%d} monochromatic", n, u, v)
+		}
+		// Each directed edge carries exactly one endpoint announcement.
+		if want := int64(2 * (n - 1)); res.Messages != want {
+			t.Fatalf("n=%d: %d messages, want %d", n, res.Messages, want)
 		}
 	}
 }
@@ -280,5 +298,45 @@ func TestReducerRejectsImproperInput(t *testing.T) {
 	}
 	if err := r.Advance([]int64{100}); err == nil {
 		t.Fatal("want error for identical neighbor color")
+	}
+}
+
+// TestNodeKernelAllocs bounds what a whole Engine.Run allocates per node,
+// engine buffers included. Both machines run for many rounds per node
+// (about 120 for Linial at Δ = 4, about 384 steps per node for the
+// two-coloring), so a kernel that allocated once per round, or once per
+// port, would exceed the bound many times over.
+func TestNodeKernelAllocs(t *testing.T) {
+	const perNode = 16
+	gw, err := graph.BuildGaltonWatson(2000, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := graph.BuildPath(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tr   *graph.Tree
+		alg  sim.Algorithm
+	}{
+		{"gw2000-linial", gw, LinialAlgorithm{Delta: gw.MaxDegree()}},
+		{"path512-2color", path, TwoColorPathAlgorithm{}},
+	} {
+		n := tc.tr.N()
+		eng := sim.NewEngine(sim.WithIDs(sim.DefaultIDs(n, 1)))
+		var res *sim.Result
+		allocs := testing.AllocsPerRun(3, func() {
+			if res, err = eng.Run(tc.tr, tc.alg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d rounds, %.0f steps and %.1f allocations per node",
+			tc.name, res.TotalRounds, float64(res.Steps)/float64(n), allocs/float64(n))
+		if allocs > perNode*float64(n) {
+			t.Errorf("%s: %.0f allocations for %d nodes, want at most %d per node",
+				tc.name, allocs, n, perNode)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package coloring
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Reducer is the Linial iterated color-reduction engine for one node, usable
@@ -50,14 +51,7 @@ func PaletteSchedule(delta int, idSpace float64) ([]paletteStep, int64, error) {
 		return nil, 0, fmt.Errorf("coloring: delta %d < 1", delta)
 	}
 	var steps []paletteStep
-	m := idSpace
-	mInt := func(x float64) int64 {
-		if x > math.MaxInt64/2 {
-			return math.MaxInt64 / 2
-		}
-		return int64(x)
-	}
-	cur := mInt(m)
+	cur := paletteSize(idSpace)
 	for i := 0; i < 64; i++ {
 		d, q, ok := choosePoly(cur, delta)
 		if !ok {
@@ -71,6 +65,15 @@ func PaletteSchedule(delta int, idSpace float64) ([]paletteStep, int64, error) {
 		cur = next
 	}
 	return steps, cur, nil
+}
+
+// paletteSize is the integer palette size of an ID space of idSpace
+// identifiers, capped so that palette arithmetic cannot overflow.
+func paletteSize(idSpace float64) int64 {
+	if idSpace > math.MaxInt64/2 {
+		return math.MaxInt64 / 2
+	}
+	return int64(idSpace)
 }
 
 // choosePoly picks the smallest degree d (and corresponding prime q > dΔ)
@@ -99,23 +102,76 @@ func choosePoly(m int64, delta int) (d int, q int64, ok bool) {
 	return 0, 0, false
 }
 
-// NewReducer creates a reduction engine seeded with the node's identifier.
-// idSpace is the size of the ID space (use float64(1<<63) for 63-bit IDs).
-func NewReducer(id uint64, delta int, idSpace float64) (*Reducer, error) {
+// Scratch bounds of one Reducer round. Neighbor colors, polynomial
+// coefficients and greedy marks live in fixed-size stack arrays of these
+// sizes, and only a round that needs more takes them from the heap. Every
+// catalog tree has maximum degree at most 4; stackCoeffs covers
+// (Δ+1)·(d+1) for every schedule step of every Δ ≤ stackDegree (99 at
+// Δ = 8). The arrays are zeroed on every call, so they are kept small.
+const (
+	stackDegree = 8
+	stackCoeffs = 100
+)
+
+// scheduleKey identifies a palette schedule: PaletteSchedule depends on the
+// ID-space size only through its integer palette size.
+type scheduleKey struct {
+	delta int
+	m     int64
+}
+
+type sharedSchedule struct {
+	steps []paletteStep
+	fix   int64
+}
+
+// schedules memoizes PaletteSchedule for NewReducer, keyed by scheduleKey.
+// The schedule is a pure function of its key and a stored one is never
+// mutated, so every Reducer with the same (Δ, ID space) shares one copy
+// instead of re-running the prime search per node.
+var schedules sync.Map
+
+// scheduleFor returns the shared schedule for (delta, idSpace).
+func scheduleFor(delta int, idSpace float64) (*sharedSchedule, error) {
+	key := scheduleKey{delta: delta, m: paletteSize(idSpace)}
+	if s, ok := schedules.Load(key); ok {
+		return s.(*sharedSchedule), nil
+	}
 	steps, fix, err := PaletteSchedule(delta, idSpace)
 	if err != nil {
 		return nil, err
 	}
-	r := &Reducer{
-		delta:    delta,
-		schedule: steps,
-		greedyC:  int(fix) - 1,
-		color:    int64(id),
-	}
-	if len(steps) == 0 && fix <= int64(delta)+1 {
-		r.done = true
+	s, _ := schedules.LoadOrStore(key, &sharedSchedule{steps: steps, fix: fix})
+	return s.(*sharedSchedule), nil
+}
+
+// NewReducer creates a reduction engine seeded with the node's identifier.
+// idSpace is the size of the ID space (use float64(1<<63) for 63-bit IDs).
+func NewReducer(id uint64, delta int, idSpace float64) (*Reducer, error) {
+	r := new(Reducer)
+	if err := r.init(id, delta, idSpace); err != nil {
+		return nil, err
 	}
 	return r, nil
+}
+
+// init seeds r as NewReducer does, so a machine can hold its Reducer by
+// value.
+func (r *Reducer) init(id uint64, delta int, idSpace float64) error {
+	s, err := scheduleFor(delta, idSpace)
+	if err != nil {
+		return err
+	}
+	*r = Reducer{
+		delta:    delta,
+		schedule: s.steps,
+		greedyC:  int(s.fix) - 1,
+		color:    int64(id),
+	}
+	if len(s.steps) == 0 && s.fix <= int64(delta)+1 {
+		r.done = true
+	}
+	return nil
 }
 
 // Color returns the node's current color. After Done() reports true this is
@@ -158,18 +214,7 @@ func (r *Reducer) Advance(neighborColors []int64) error {
 	}
 	// Greedy elimination of color class r.greedyC.
 	if r.color == int64(r.greedyC) {
-		used := make(map[int64]bool, r.delta)
-		for _, c := range neighborColors {
-			if c >= 0 {
-				used[c] = true
-			}
-		}
-		for c := int64(0); ; c++ {
-			if !used[c] {
-				r.color = c
-				break
-			}
-		}
+		r.color = smallestFree(neighborColors)
 	}
 	r.greedyC--
 	if r.greedyC <= r.delta {
@@ -178,15 +223,31 @@ func (r *Reducer) Advance(neighborColors []int64) error {
 	return nil
 }
 
+// smallestFree returns the smallest color >= 0 that no entry of colors
+// holds. It is at most len(colors), so marks for 0..len(colors) suffice.
+func smallestFree(colors []int64) int64 {
+	var buf [stackDegree + 1]bool
+	var used []bool
+	if len(colors) < len(buf) {
+		used = buf[:len(colors)+1]
+	} else {
+		used = make([]bool, len(colors)+1)
+	}
+	for _, c := range colors {
+		if c >= 0 && c < int64(len(used)) {
+			used[c] = true
+		}
+	}
+	c := 0
+	for used[c] {
+		c++
+	}
+	return int64(c)
+}
+
 // reduceOnce applies one polynomial reduction step.
 func reduceOnce(color int64, neighbors []int64, step paletteStep, delta int) (int64, error) {
-	q := step.q
-	// Forbidden points: the union of neighbor color sets, restricted to the
-	// points we might pick. For each x in F_q our candidate point is
-	// (x, p_color(x)); it is covered by neighbor c' iff p_{c'}(x) equals
-	// p_color(x).
-	coeffs := polyCoeffs(color, step.d, q)
-	var nbrCoeffs [][]int64
+	active := 0
 	for _, c := range neighbors {
 		if c < 0 {
 			continue
@@ -194,16 +255,36 @@ func reduceOnce(color int64, neighbors []int64, step paletteStep, delta int) (in
 		if c == color {
 			return 0, fmt.Errorf("coloring: neighbor has identical color %d (improper input coloring)", c)
 		}
-		nbrCoeffs = append(nbrCoeffs, polyCoeffs(c, step.d, q))
+		active++
 	}
-	if len(nbrCoeffs) > delta {
-		return 0, fmt.Errorf("coloring: %d active neighbors exceeds delta %d", len(nbrCoeffs), delta)
+	if active > delta {
+		return 0, fmt.Errorf("coloring: %d active neighbors exceeds delta %d", active, delta)
 	}
+	// Color c is the polynomial whose coefficients are the w base-q digits
+	// of c. coeffs holds ours first, then those of each active neighbor.
+	q, w := step.q, step.d+1
+	var buf [stackCoeffs]int64
+	var coeffs []int64
+	if need := (active + 1) * w; need <= len(buf) {
+		coeffs = buf[:need]
+	} else {
+		coeffs = make([]int64, need)
+	}
+	digits(coeffs[:w], color, q)
+	j := w
+	for _, c := range neighbors {
+		if c >= 0 {
+			digits(coeffs[j:j+w], c, q)
+			j += w
+		}
+	}
+	// Our candidate point (x, p_color(x)) is covered by neighbor c' iff
+	// p_{c'}(x) equals p_color(x); take the first uncovered one.
 	for x := int64(0); x < q; x++ {
-		y := polyEval(coeffs, x, q)
+		y := horner(coeffs[:w], x, q)
 		covered := false
-		for _, nb := range nbrCoeffs {
-			if polyEval(nb, x, q) == y {
+		for j := w; j < len(coeffs); j += w {
+			if horner(coeffs[j:j+w], x, q) == y {
 				covered = true
 				break
 			}
@@ -216,18 +297,17 @@ func reduceOnce(color int64, neighbors []int64, step paletteStep, delta int) (in
 	return 0, fmt.Errorf("coloring: no uncovered point for color %d (q=%d, d=%d)", color, q, step.d)
 }
 
-// polyCoeffs writes color in base q as d+1 coefficients.
-func polyCoeffs(color int64, d int, q int64) []int64 {
-	coeffs := make([]int64, d+1)
-	for i := 0; i <= d; i++ {
+// digits writes color in base q into coeffs, least significant first.
+func digits(coeffs []int64, color, q int64) {
+	for i := range coeffs {
 		coeffs[i] = color % q
 		color /= q
 	}
-	return coeffs
 }
 
-// polyEval evaluates the polynomial at x over F_q (Horner).
-func polyEval(coeffs []int64, x, q int64) int64 {
+// horner evaluates the polynomial with the given coefficients at x over
+// F_q.
+func horner(coeffs []int64, x, q int64) int64 {
 	var acc int64
 	for i := len(coeffs) - 1; i >= 0; i-- {
 		acc = (acc*x + coeffs[i]) % q

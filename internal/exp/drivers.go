@@ -487,6 +487,9 @@ func twoColoringGapSpec() *sweepSpec {
 			if err != nil {
 				return sweepPoint{}, err
 			}
+			if _, err := verifiedColors(tr, r.Outputs); err != nil {
+				return sweepPoint{}, fmt.Errorf("n=%d: %w", n, err)
+			}
 			avg := r.NodeAveraged()
 			boundary, crossed := shardTraffic(r)
 			return sweepPoint{

@@ -177,18 +177,13 @@ func runLinialSample(ctx context.Context, idx int, seed uint64, eng engineConfig
 	if err != nil {
 		return sweepPoint{}, err
 	}
-	colors := make([]int64, len(r.Outputs))
-	counts := map[int64]int64{}
-	for v, o := range r.Outputs {
-		c, ok := o.(int64)
-		if !ok {
-			return sweepPoint{}, fmt.Errorf("sample %d: node %d output is %T, not a color", idx, v, o)
-		}
-		colors[v] = c
-		counts[c]++
+	colors, err := verifiedColors(tr, r.Outputs)
+	if err != nil {
+		return sweepPoint{}, fmt.Errorf("sample %d: %w", idx, err)
 	}
-	if ok, u, v := coloring.VerifyProperColoring(tr, colors); !ok {
-		return sweepPoint{}, fmt.Errorf("sample %d: improper coloring on edge {%d,%d}", idx, u, v)
+	counts := map[int64]int64{}
+	for _, c := range colors {
+		counts[c]++
 	}
 	avg := r.NodeAveraged()
 	boundary, crossed := shardTraffic(r)
@@ -199,6 +194,23 @@ func runLinialSample(ctx context.Context, idx int, seed uint64, eng engineConfig
 		boundary: boundary,
 		crossed:  crossed,
 	}, nil
+}
+
+// verifiedColors converts a coloring run's outputs to colors and checks that
+// they properly color tr.
+func verifiedColors(tr *graph.Tree, outputs []any) ([]int64, error) {
+	colors := make([]int64, len(outputs))
+	for v, o := range outputs {
+		c, ok := o.(int64)
+		if !ok {
+			return nil, fmt.Errorf("node %d output is %T, not a color", v, o)
+		}
+		colors[v] = c
+	}
+	if ok, u, v := coloring.VerifyProperColoring(tr, colors); !ok {
+		return nil, fmt.Errorf("improper coloring on edge {%d,%d}", u, v)
+	}
+	return colors, nil
 }
 
 // ensembleHeader is the per-sample table header shared by the Linial

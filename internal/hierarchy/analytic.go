@@ -265,13 +265,14 @@ func runLinialSegment(seg []int, ids []uint64) ([]int64, int, error) {
 		reducers[j] = r
 	}
 	rounds := 0
+	snapshot := make([]int64, m)
+	var buf [2]int64
 	for !reducers[0].Done() {
-		snapshot := make([]int64, m)
 		for j := range reducers {
 			snapshot[j] = reducers[j].Color()
 		}
 		for j := range reducers {
-			nbr := make([]int64, 0, 2)
+			nbr := buf[:0]
 			if j > 0 {
 				nbr = append(nbr, snapshot[j-1])
 			}

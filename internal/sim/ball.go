@@ -130,9 +130,7 @@ type ballMachine struct {
 	info   NodeInfo
 	radius int
 	bc     *BallCollector
-	// send is reused across rounds: the engine copies each entry out of the
-	// returned slice before the machine steps again, so the buffer is free
-	// for rewriting every round.
+	// send is reused across rounds (the Machine.Step buffer rules).
 	send []any
 }
 

@@ -222,6 +222,120 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// reuseAlg probes the send-buffer rule of Machine.Step: every machine
+// returns the same send slice every round and, on its next Step, first
+// poisons every entry and then overwrites it with a message naming the
+// sender and the round. A backend that read a send slice after the
+// machine's next Step would deliver poison or a later round's message.
+// Nodes terminate at different rounds (from their input), so frozen outputs
+// are delivered too. The output digests every (round, port, message)
+// observed, and counts each message not sent in the previous round.
+type reuseAlg struct{}
+
+type reuseMsg struct {
+	from  uint64
+	round int
+}
+
+var reusePoison any = "poison"
+
+func (reuseAlg) Name() string { return "send-reuse" }
+func (reuseAlg) NewMachine(info NodeInfo) Machine {
+	return &reuseMachine{info: info, last: info.Input.(int), send: make([]any, info.Degree)}
+}
+
+type reuseMachine struct {
+	info   NodeInfo
+	last   int
+	send   []any
+	digest uint64
+	stale  int
+}
+
+func (m *reuseMachine) Step(round int, recv []any) ([]any, bool) {
+	for p := range m.send {
+		m.send[p] = reusePoison
+	}
+	for p, msg := range recv {
+		var word uint64
+		switch x := msg.(type) {
+		case nil:
+			continue
+		case reuseMsg:
+			if x.round != round-1 {
+				m.stale++
+			}
+			word = x.from ^ uint64(x.round)<<48
+		case Terminated:
+			word = x.Output.(reuseOut).digest + 1
+		default:
+			m.stale++
+		}
+		m.digest = (m.digest^word^uint64(round)<<32^uint64(p))*0x100000001b3 + 1
+	}
+	for p := range m.send {
+		m.send[p] = reuseMsg{from: m.info.ID, round: round}
+	}
+	return m.send, round >= m.last
+}
+
+type reuseOut struct {
+	digest uint64
+	stale  int
+}
+
+func (m *reuseMachine) Output() any { return reuseOut{m.digest, m.stale} }
+
+// TestSendBufferReuseContract runs reuseAlg on a tree with cross-shard
+// edges on the sequential, parallel and sharded backends (both layouts):
+// every run must equal the sequential one exactly, and no machine may see a
+// message from any round but the previous one.
+func TestSendBufferReuseContract(t *testing.T) {
+	tr, err := graph.BuildGaltonWatson(300, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tr.N()
+	ids := DefaultIDs(n, 5)
+	last := make([]any, n)
+	for v := range last {
+		last[v] = 2 + (v*2654435761)%17
+	}
+	run := func(opts ...Option) *Result {
+		t.Helper()
+		res, err := NewEngine(append([]Option{WithIDs(ids), WithInputs(last)}, opts...)...).Run(tr, reuseAlg{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seq := run()
+	for v, o := range seq.Outputs {
+		if out := o.(reuseOut); out.stale != 0 {
+			t.Fatalf("node %d saw %d messages not sent in the previous round", v, out.stale)
+		}
+	}
+	for name, opts := range map[string][]Option{
+		"parallel2":       {WithParallelism(2)},
+		"shards3-range":   {WithShards(3), WithShardLayout(LayoutRange)},
+		"shards3-subtree": {WithShards(3), WithShardLayout(LayoutSubtree)},
+	} {
+		got := run(opts...)
+		if !reflect.DeepEqual(coreResult(got), *seq) {
+			t.Errorf("%s diverges from the sequential backend", name)
+		}
+		if len(got.Shards) > 0 {
+			var crossed int64
+			for _, st := range got.Shards {
+				crossed += st.MessagesCrossed
+			}
+			if crossed == 0 {
+				t.Errorf("%s: no message crossed a shard boundary", name)
+			}
+		}
+	}
+}
+
 // BenchmarkEngine measures engine overhead per node-round on a path (the
 // degree-2 cache-friendly extreme) and a hierarchical lower-bound instance
 // (the branchy shape the sweeps actually run on), and guards the allocation

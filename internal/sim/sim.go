@@ -88,6 +88,13 @@ type Machine interface {
 	// messages to send on each port next round (send may be nil or shorter
 	// than Degree; missing entries mean "no message") and whether the node
 	// terminates *now*. Once done is returned, Step is never called again.
+	//
+	// Buffer rules. Every backend copies each entry out of send before the
+	// machine's next Step, so a machine may return the same send slice every
+	// round and overwrite its entries once Step has returned (whatever a sent
+	// value points to must not change: receivers hold it). recv belongs to
+	// the engine: it is cleared after the step and reused, so a machine must
+	// not retain it (or any subslice) past the call.
 	Step(round int, recv []any) (send []any, done bool)
 	// Output returns the node's final output; called only after termination.
 	Output() any
