@@ -12,122 +12,48 @@ import (
 	"repro/internal/sim"
 )
 
-// One benchmark per experiment of the per-experiment index in DESIGN.md.
-// Each bench reports the fitted exponent and the paper's exponent as custom
-// metrics, so `go test -bench` regenerates the paper's scaling shapes.
-
-func reportSlopes(b *testing.B, res *ExpResult) {
-	b.Helper()
-	b.ReportMetric(res.Slope, "fitted-exp")
-	b.ReportMetric(res.TheorySlope, "theory-exp")
-	if res.TheoryUpper != res.TheorySlope {
-		b.ReportMetric(res.TheoryUpper, "theory-upper-exp")
-	}
-}
-
-// Benchmark35ColoringNodeAvg regenerates E-T11 (Theorem 11).
-func Benchmark35ColoringNodeAvg(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := Hierarchical35(2, []int{12, 24, 48, 96}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSlopes(b, res)
-	}
-}
-
-// BenchmarkWeighted25NodeAvg regenerates E-T2T3 (Theorems 2-3).
-func BenchmarkWeighted25NodeAvg(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := Weighted25(5, 2, 2, []int{16000, 64000, 256000, 1024000}, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSlopes(b, res)
-	}
-}
-
-// BenchmarkWeighted35NodeAvg regenerates E-T4T5 (Theorems 4-5).
-func BenchmarkWeighted35NodeAvg(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := Weighted35(7, 3, 2, []int{16, 32, 64, 128, 256}, 3, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSlopes(b, res)
-	}
-}
-
-// BenchmarkWeightAugmented regenerates E-L68 (Lemmas 68-69, the Θ(√n)
-// point).
-func BenchmarkWeightAugmented(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := WeightAugmented(2, 5, []int{4000, 16000, 64000}, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSlopes(b, res)
-	}
-}
-
-// BenchmarkTwoColoringPath regenerates E-C60 (Corollary 60).
-func BenchmarkTwoColoringPath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := TwoColoringGap([]int{200, 400, 800, 1600}, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSlopes(b, res)
-	}
-}
-
-// BenchmarkDFreeCopyFraction regenerates E-L40 (Lemma 40).
-func BenchmarkDFreeCopyFraction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := CopyFraction(5, 2, []int{1000, 4000, 16000, 64000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSlopes(b, res)
-	}
-}
-
-// BenchmarkDensityPoly regenerates E-T1 (Theorem 1).
-func BenchmarkDensityPoly(b *testing.B) {
-	intervals := [][2]float64{{0.05, 0.1}, {0.1, 0.2}, {0.2, 0.3}, {0.3, 0.4}, {0.4, 0.5}}
-	for i := 0; i < b.N; i++ {
-		if _, err := DensityPoly(intervals); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDensityLogStar regenerates E-T6 (Theorem 6).
-func BenchmarkDensityLogStar(b *testing.B) {
-	intervals := [][2]float64{{0.2, 0.4}, {0.4, 0.6}, {0.6, 0.8}}
-	for i := 0; i < b.N; i++ {
-		if _, err := DensityLogStar(intervals, 0.05); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPathLCLClassify regenerates E-T7 (Theorem 7 demonstration).
-func BenchmarkPathLCLClassify(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := PathLCLTable(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLandscapeTables regenerates F1/F2 (Figures 1-2).
-func BenchmarkLandscapeTables(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f1, f2 := LandscapeFigures()
-		if len(f1.Rows) == 0 || len(f2.Rows) == 0 {
-			b.Fatal("empty figures")
-		}
+// BenchmarkPaperSweeps regenerates the paper's experiments through the
+// registry, one sub-benchmark per experiment of the per-experiment index in
+// DESIGN.md, at fixed sizes and seeds. Scaling sweeps report the fitted
+// exponent and the paper's exponent(s) as custom metrics, so `go test
+// -bench` regenerates the paper's scaling shapes.
+func BenchmarkPaperSweeps(b *testing.B) {
+	for _, bc := range []struct {
+		name  string // sub-benchmark: the experiment ID of DESIGN.md
+		exp   string // catalog entry
+		sizes []int  // nil: the entry has no sweep axis
+		seed  uint64
+	}{
+		{"E-T11", "hierarchical35-k2", []int{12, 24, 48, 96}, 1},
+		{"E-T2T3", "weighted25-d5", []int{16000, 64000, 256000, 1024000}, 2},
+		{"E-T4T5", "weighted35-d7", []int{16, 32, 64, 128, 256}, 3},
+		{"E-L68", "weightaug-k2", []int{4000, 16000, 64000}, 4},
+		{"E-C60", "twocoloring-gap", []int{200, 400, 800, 1600}, 5},
+		{"E-L40", "copyfraction-d5", []int{1000, 4000, 16000, 64000}, 0},
+		{"E-T1", "density-poly", nil, 0},
+		{"E-T6", "density-logstar", nil, 0},
+		{"E-T7", "pathlcl-classify", nil, 0},
+		{"F1F2", "landscape-figures", nil, 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx := context.Background()
+			for i := 0; i < b.N; i++ {
+				res, err := RunExperiment(ctx, bc.exp, RunConfig{Sizes: bc.sizes, Seed: bc.seed})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Tables) == 0 || len(res.Tables[0].Rows) == 0 {
+					b.Fatal("empty tables")
+				}
+				if f := res.Fit; f != nil {
+					b.ReportMetric(f.Slope, "fitted-exp")
+					b.ReportMetric(f.TheorySlope, "theory-exp")
+					if f.TheoryUpper != f.TheorySlope {
+						b.ReportMetric(f.TheoryUpper, "theory-upper-exp")
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -309,9 +235,9 @@ func BenchmarkSimVsAnalytic(b *testing.B) {
 	}
 	b.Run("simulated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.Run(h.Tree, hierarchy.Generic{Schedule: sched}, sim.Config{
-				IDs: ids, Inputs: inputs, MaxRounds: 8*h.Tree.N() + 256,
-			}); err != nil {
+			if _, err := sim.NewEngine(
+				sim.WithIDs(ids), sim.WithInputs(inputs), sim.WithMaxRounds(8*h.Tree.N()+256),
+			).Run(h.Tree, hierarchy.Generic{Schedule: sched}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -79,9 +79,7 @@ func TestReducerRoundsMatchesSchedule(t *testing.T) {
 
 func runColoring(t *testing.T, tr *graph.Tree, delta int, seed uint64) *sim.Result {
 	t.Helper()
-	res, err := sim.Run(tr, LinialAlgorithm{Delta: delta}, sim.Config{
-		IDs: sim.DefaultIDs(tr.N(), seed),
-	})
+	res, err := sim.NewEngine(sim.WithIDs(sim.DefaultIDs(tr.N(), seed))).Run(tr, LinialAlgorithm{Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +196,7 @@ func TestQuickLinialProperOnRandomPathsAndSeeds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := sim.Run(tr, LinialAlgorithm{Delta: 2}, sim.Config{
-			IDs: sim.DefaultIDs(n, seed|1),
-		})
+		res, err := sim.NewEngine(sim.WithIDs(sim.DefaultIDs(n, seed|1))).Run(tr, LinialAlgorithm{Delta: 2})
 		if err != nil {
 			return false
 		}
@@ -218,9 +214,7 @@ func TestTwoColorPathProper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(tr, TwoColorPathAlgorithm{}, sim.Config{
-			IDs: sim.DefaultIDs(n, uint64(n)*3+1),
-		})
+		res, err := sim.NewEngine(sim.WithIDs(sim.DefaultIDs(n, uint64(n)*3+1))).Run(tr, TwoColorPathAlgorithm{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +243,7 @@ func TestTwoColorPathIsLinearNodeAveraged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(tr, TwoColorPathAlgorithm{}, sim.Config{})
+		res, err := sim.NewEngine().Run(tr, TwoColorPathAlgorithm{})
 		if err != nil {
 			t.Fatal(err)
 		}

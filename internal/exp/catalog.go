@@ -203,11 +203,12 @@ func init() {
 			return []measure.Table{tb}, nil
 		}))
 
-	// Ensemble experiments: preset values are sample indices, one sampled
-	// random tree per task (ensemble.go). Sample i's tree and IDs both
-	// derive from PointSeed(seed, i), so the ensembles are deterministic and
-	// parallelize across -jobs/-workers/-shards with byte-identical results.
-	MustRegister(ensembleExperiment(
+	// Ensemble experiments: sweeps whose preset values are sample indices,
+	// one sampled random tree per task (ensemble.go). Sample i's tree and IDs
+	// both derive from PointSeed(seed, i), so the ensembles are deterministic
+	// and parallelize across -jobs/-workers/-shards with byte-identical
+	// results.
+	MustRegister(sweepExperiment(
 		"ensemble-gw-linial",
 		"Linial (Δ+1)-coloring over a seeded Galton-Watson ensemble (n=3000, uniform {0..3} offspring); cross-ensemble round statistics and color distribution. Simulator-backed: honors -parallel/-shards.",
 		"ensembles toward the landscape papers (E-ENS)",
@@ -216,9 +217,9 @@ func init() {
 			PresetStandard: {1, 2, 3, 4, 5, 6, 7, 8},
 			PresetStress:   {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
 		}, 7,
-		func() *ensembleSpec { return ensembleGWSpec(3000, 3) }))
+		func() (*sweepSpec, error) { return ensembleGWSpec(3000, 3), nil }))
 
-	MustRegister(ensembleExperiment(
+	MustRegister(sweepExperiment(
 		"ensemble-ladder-linial",
 		"Linial (Δ+1)-coloring over a seeded ladder-tree ensemble (n=4000, max degree 3); cross-ensemble round statistics and color distribution. Simulator-backed: honors -parallel/-shards.",
 		"ensembles toward the landscape papers (E-ENS)",
@@ -227,7 +228,7 @@ func init() {
 			PresetStandard: {1, 2, 3, 4, 5, 6, 7, 8},
 			PresetStress:   {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
 		}, 8,
-		func() *ensembleSpec { return ensembleLadderSpec(4000) }))
+		func() (*sweepSpec, error) { return ensembleLadderSpec(4000), nil }))
 
 	MustRegister(tableExperiment(
 		"survivors",

@@ -2,11 +2,11 @@ package exp
 
 // The sweep drivers regenerating every table and figure of the paper. Each
 // scaling sweep is declared as a sweepSpec: per-run analytic constants plus
-// one independent point function per sweep value. The spec feeds both
-// execution paths — the serial legacy API (Hierarchical35, Weighted25, ...)
-// and the task planner behind RunBatch, which schedules individual sweep
-// points across the -jobs pool — so a sweep produces identical results no
-// matter how its points are scheduled.
+// one independent point function per sweep value. sweepExperiment turns the
+// spec into the experiment's task plan, one task per point; RunBatch
+// schedules those tasks, and Experiment.Run is the same plan run serially,
+// so a sweep produces identical results no matter how its points are
+// scheduled.
 
 import (
 	"context"
@@ -39,37 +39,6 @@ var instances = inst.New(0)
 // (cmd/experiments -cache-stats, tests asserting warm runs build nothing)
 // and for explicit Reset in memory-sensitive callers.
 func InstanceCache() *inst.Cache { return instances }
-
-// SweepResult is the raw outcome of one scaling experiment: the formatted
-// table, the fitted exponent, and the paper's exponent(s).
-type SweepResult struct {
-	Table       measure.Table
-	Slope       float64 // fitted exponent
-	TheorySlope float64 // paper's exponent
-	// TheoryUpper is the upper-bound exponent where the paper leaves a gap
-	// (Theorems 4-5); equal to TheorySlope otherwise.
-	TheoryUpper float64
-	Points      []measure.Point
-	// Steps is the total simulator machine-step work across the sweep's
-	// points; 0 for analytic sweeps that never enter the simulator.
-	Steps int64
-	// Boundary and Crossed total the sharded simulator's boundary edges and
-	// cross-shard messages over the sweep's points (0 for unsharded runs);
-	// they feed Result.ShardTraffic, never a table cell.
-	Boundary int64
-	Crossed  int64
-}
-
-// finish annotates the table with fit-vs-theory.
-func (r *SweepResult) finish(title string, xName string) {
-	r.Table.Title = title
-	r.Slope, _ = measure.FitLogLog(r.Points)
-	r.Table.AddRow("fitted exponent vs "+xName, r.Slope, "", "")
-	r.Table.AddRow("theory exponent", r.TheorySlope, "", "")
-	if r.TheoryUpper != r.TheorySlope {
-		r.Table.AddRow("theory upper exponent", r.TheoryUpper, "", "")
-	}
-}
 
 // engineConfig carries the simulator execution knobs — worker count, shard
 // count, and shard layout — from RunConfig into the simulator-backed point
@@ -119,58 +88,81 @@ type sweepPoint struct {
 	crossed  int64
 }
 
-// sweepSpec is the decomposed form of a scaling sweep: the analytic
-// constants resolved once per run, and one independent point function per
-// sweep value. Point functions must be pure up to their (val, seed) inputs —
-// no point may observe another point's execution — which is what makes them
-// schedulable in any order.
+// sweepSpec is the decomposed form of a planned experiment: one independent
+// point function per sweep value, plus the reduction of the completed points
+// into the result's tables and fit. Scaling sweeps reduce by fitted; the
+// ensembles (ensemble.go), whose sweep values are sample indices, reduce by
+// ensembleStats. Point functions must be pure up to their (val, seed)
+// inputs — no point may observe another point's execution — which is what
+// makes them schedulable in any order.
 type sweepSpec struct {
-	header      []string
-	title       string
-	xName       string
-	theorySlope float64
-	theoryUpper float64
-	// key identifies the shared-provider instance the point will request:
-	// its String() labels the task and its Core() is the task's affinity
-	// group for the multi-process dispatcher; nil when untracked.
-	key func(val int) inst.Key
+	header []string
+	title  string
+	// xName names the sweep value in task labels ("weighted25-d5 n=4000",
+	// "ensemble-gw-linial sample=3") and in the fitted-exponent row.
+	xName string
+	// key identifies the shared-provider instance the point will request
+	// for (val, seed): its String() labels the task and its Core() is the
+	// task's affinity group for the multi-process dispatcher; nil when
+	// untracked.
+	key func(val int, seed uint64) inst.Key
 	// point runs one sweep value under the point seed derived via
-	// PointSeed from the run's base seed.
+	// PointSeed from the run's base seed. Its row is as wide as header.
 	point func(ctx context.Context, val int, seed uint64, eng engineConfig) (sweepPoint, error)
+	// summarize reduces the completed points, in sweep order, to the fit and
+	// the tables that follow the points table.
+	summarize func(points []sweepPoint) ([]measure.Table, *Fit, error)
 }
 
-// assemble combines completed points — in canonical sweep order — into the
-// fitted SweepResult. Both the serial path and the task planner funnel
-// through here, so their outputs are identical.
-func (s *sweepSpec) assemble(points []sweepPoint) *SweepResult {
-	res := &SweepResult{TheorySlope: s.theorySlope, TheoryUpper: s.theoryUpper}
-	res.Table.Header = s.header
-	for _, p := range points {
-		res.Points = append(res.Points, p.pt)
-		res.Table.AddRow(p.row...)
+// assemble fills res from the completed points of the sweep values vals, in
+// canonical sweep order: the points table (annotated with the fit, if any)
+// and the summary tables, plus the machine steps and shard traffic summed
+// over the points. In-process and worker-decoded points both funnel through
+// here, so a point whose row does not match the header — only a worker can
+// send one — is an error, not a panic.
+func (s *sweepSpec) assemble(res *Result, vals []int, points []sweepPoint) error {
+	tb := measure.Table{Title: s.title, Header: s.header}
+	var traffic ShardTraffic
+	for i, p := range points {
+		if len(p.row) != len(s.header) {
+			return fmt.Errorf("%s=%d: row has %d cells, header has %d", s.xName, vals[i], len(p.row), len(s.header))
+		}
+		tb.AddRow(p.row...)
 		res.Steps += p.steps
-		res.Boundary += p.boundary
-		res.Crossed += p.crossed
+		traffic.BoundaryEdges += p.boundary
+		traffic.MessagesCrossed += p.crossed
 	}
-	res.finish(s.title, s.xName)
-	return res
+	if traffic.BoundaryEdges > 0 || traffic.MessagesCrossed > 0 {
+		res.ShardTraffic = &traffic
+	}
+	summary, fit, err := s.summarize(points)
+	if err != nil {
+		return err
+	}
+	if fit != nil {
+		tb.AddRow("fitted exponent vs "+s.xName, fit.Slope, "", "")
+		tb.AddRow("theory exponent", fit.TheorySlope, "", "")
+		if fit.TheoryUpper != fit.TheorySlope {
+			tb.AddRow("theory upper exponent", fit.TheoryUpper, "", "")
+		}
+	}
+	res.Tables = append([]measure.Table{tb}, summary...)
+	res.Fit = fit
+	return nil
 }
 
-// runSerial executes the sweep's points in order on the calling goroutine —
-// the legacy driver behavior, also used by Experiment.Run.
-func (s *sweepSpec) runSerial(ctx context.Context, vals []int, seed uint64, eng engineConfig) (*SweepResult, error) {
-	points := make([]sweepPoint, 0, len(vals))
-	for _, val := range vals {
-		if err := sweepStep(ctx); err != nil {
-			return nil, err
+// fitted is the summarize of a scaling sweep: the log-log slope of the
+// points against the paper's exponent, and against the upper exponent where
+// the paper leaves a gap (Theorems 4-5; equal to theory otherwise).
+func fitted(theory, upper float64) func([]sweepPoint) ([]measure.Table, *Fit, error) {
+	return func(points []sweepPoint) ([]measure.Table, *Fit, error) {
+		fit := &Fit{TheorySlope: theory, TheoryUpper: upper}
+		for _, p := range points {
+			fit.Points = append(fit.Points, p.pt)
 		}
-		p, err := s.point(ctx, val, PointSeed(seed, val), eng)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, p)
+		fit.Slope, _ = measure.FitLogLog(fit.Points)
+		return nil, fit, nil
 	}
-	return s.assemble(points), nil
 }
 
 // hierLengths is the Definition-18 path-length vector ℓ_i = T^{2^{i-1}}.
@@ -189,12 +181,11 @@ func hierLengths(k, T int) []int {
 // node-averaged complexity must scale like Θ(T), i.e. slope 1 in T.
 func hierarchical35Spec(k int) *sweepSpec {
 	return &sweepSpec{
-		header:      []string{"T", "n", "node-avg rounds", "node-avg / T"},
-		title:       fmt.Sprintf("E-T11: k=%d hierarchical 3½-coloring, node-avg ~ Θ(T)", k),
-		xName:       "T",
-		theorySlope: 1,
-		theoryUpper: 1,
-		key:         func(T int) inst.Key { return inst.HierarchicalKey(hierLengths(k, T)) },
+		header:    []string{"T", "n", "node-avg rounds", "node-avg / T"},
+		title:     fmt.Sprintf("E-T11: k=%d hierarchical 3½-coloring, node-avg ~ Θ(T)", k),
+		xName:     "T",
+		summarize: fitted(1, 1),
+		key:       func(T int, _ uint64) inst.Key { return inst.HierarchicalKey(hierLengths(k, T)) },
 		point: func(ctx context.Context, T int, seed uint64, _ engineConfig) (sweepPoint, error) {
 			gammas := make([]int, k-1)
 			for i := 1; i < k; i++ {
@@ -229,11 +220,6 @@ func hierarchical35Spec(k int) *sweepSpec {
 	}
 }
 
-// Hierarchical35 runs experiment E-T11 serially (the legacy driver API).
-func Hierarchical35(ctx context.Context, k int, scales []int, seed uint64) (*SweepResult, error) {
-	return hierarchical35Spec(k).runSerial(ctx, scales, seed, engineConfig{parallelism: 1})
-}
-
 // weighted25Spec declares experiment E-T2T3 (Theorems 2-3): A_poly on the
 // Definition-25 construction, swept over n; slope vs n must match
 // α1(x) = 1/Σ_{j<k}(2−x)^j.
@@ -252,12 +238,11 @@ func weighted25Spec(delta, d, k int) (*sweepSpec, error) {
 		return nil, err
 	}
 	return &sweepSpec{
-		header:      []string{"n (target)", "node-avg rounds", "waiting node-avg", "waiting / n^α1"},
-		title:       fmt.Sprintf("E-T2T3: Π^2.5_{Δ=%d,d=%d,k=%d}, node-avg ~ Θ(n^%.4f)", delta, d, k, alpha1),
-		xName:       "n",
-		theorySlope: alpha1,
-		theoryUpper: alpha1,
-		key: func(target int) inst.Key {
+		header:    []string{"n (target)", "node-avg rounds", "waiting node-avg", "waiting / n^α1"},
+		title:     fmt.Sprintf("E-T2T3: Π^2.5_{Δ=%d,d=%d,k=%d}, node-avg ~ Θ(n^%.4f)", delta, d, k, alpha1),
+		xName:     "n",
+		summarize: fitted(alpha1, alpha1),
+		key: func(target int, _ uint64) inst.Key {
 			return inst.WeightedKey(p, polyLengths(target, k, alphas), target/k)
 		},
 		point: func(ctx context.Context, target int, seed uint64, _ engineConfig) (sweepPoint, error) {
@@ -293,15 +278,6 @@ func weighted25Spec(delta, d, k int) (*sweepSpec, error) {
 			}, nil
 		},
 	}, nil
-}
-
-// Weighted25 runs experiment E-T2T3 serially (the legacy driver API).
-func Weighted25(ctx context.Context, delta, d, k int, sizes []int, seed uint64) (*SweepResult, error) {
-	s, err := weighted25Spec(delta, d, k)
-	if err != nil {
-		return nil, err
-	}
-	return s.runSerial(ctx, sizes, seed, engineConfig{parallelism: 1})
 }
 
 // polyLengths derives the Definition-25 path lengths ℓ_i = (n')^{α_i} for
@@ -368,12 +344,11 @@ func weighted35Spec(delta, d, k, weightFactor int) (*sweepSpec, error) {
 		return lengths
 	}
 	return &sweepSpec{
-		header:      []string{"T", "n", "node-avg rounds", "node-avg / T^α1(x')"},
-		title:       fmt.Sprintf("E-T4T5: Π^3.5_{Δ=%d,d=%d,k=%d}, slope in [α1(x)=%.4f, α1(x')=%.4f]", delta, d, k, lower, upper),
-		xName:       "T",
-		theorySlope: lower,
-		theoryUpper: upper,
-		key: func(T int) inst.Key {
+		header:    []string{"T", "n", "node-avg rounds", "node-avg / T^α1(x')"},
+		title:     fmt.Sprintf("E-T4T5: Π^3.5_{Δ=%d,d=%d,k=%d}, slope in [α1(x)=%.4f, α1(x')=%.4f]", delta, d, k, lower, upper),
+		xName:     "T",
+		summarize: fitted(lower, upper),
+		key: func(T int, _ uint64) inst.Key {
 			lengths := lengthsOf(T)
 			total := graph.HierarchicalSize(lengths) * weightFactor
 			return inst.WeightedKey(p, lengths, total/k)
@@ -402,15 +377,6 @@ func weighted35Spec(delta, d, k, weightFactor int) (*sweepSpec, error) {
 	}, nil
 }
 
-// Weighted35 runs experiment E-T4T5 serially (the legacy driver API).
-func Weighted35(ctx context.Context, delta, d, k int, scales []int, weightFactor int, seed uint64) (*SweepResult, error) {
-	s, err := weighted35Spec(delta, d, k, weightFactor)
-	if err != nil {
-		return nil, err
-	}
-	return s.runSerial(ctx, scales, seed, engineConfig{parallelism: 1})
-}
-
 // weightAugmentedSpec declares experiment E-L68 (Lemmas 68-69): the
 // weight-augmented 2½-coloring with node-averaged complexity Θ(n^{1/k}).
 func weightAugmentedSpec(k, delta int) *sweepSpec {
@@ -423,12 +389,11 @@ func weightAugmentedSpec(k, delta int) *sweepSpec {
 		return lengths
 	}
 	return &sweepSpec{
-		header:      []string{"n (target)", "n (built)", "node-avg rounds", "node-avg / n^(1/k)"},
-		title:       fmt.Sprintf("E-L68: weight-augmented 2½ (k=%d), node-avg ~ Θ(n^{1/%d})", k, k),
-		xName:       "n",
-		theorySlope: 1 / float64(k),
-		theoryUpper: 1 / float64(k),
-		key: func(target int) inst.Key {
+		header:    []string{"n (target)", "n (built)", "node-avg rounds", "node-avg / n^(1/k)"},
+		title:     fmt.Sprintf("E-L68: weight-augmented 2½ (k=%d), node-avg ~ Θ(n^{1/%d})", k, k),
+		xName:     "n",
+		summarize: fitted(1/float64(k), 1/float64(k)),
+		key: func(target int, _ uint64) inst.Key {
 			return inst.AugKey(k, delta, lengthsOf(target), target/k)
 		},
 		point: func(ctx context.Context, target int, seed uint64, _ engineConfig) (sweepPoint, error) {
@@ -454,11 +419,6 @@ func weightAugmentedSpec(k, delta int) *sweepSpec {
 	}
 }
 
-// WeightAugmented runs experiment E-L68 serially (the legacy driver API).
-func WeightAugmented(ctx context.Context, k, delta int, sizes []int, seed uint64) (*SweepResult, error) {
-	return weightAugmentedSpec(k, delta).runSerial(ctx, sizes, seed, engineConfig{parallelism: 1})
-}
-
 // twoColoringGapSpec declares experiment E-C60 (Corollary 60): 2-coloring a
 // path has node-averaged complexity Θ(n) (slope 1), witnessing the
 // ω(√n)–o(n) gap. This one runs through the real message-passing simulator;
@@ -466,12 +426,11 @@ func WeightAugmented(ctx context.Context, k, delta int, sizes []int, seed uint64
 // every level).
 func twoColoringGapSpec() *sweepSpec {
 	return &sweepSpec{
-		header:      []string{"n", "node-avg rounds", "node-avg / n", ""},
-		title:       "E-C60: 2-coloring a path, node-avg ~ Θ(n)",
-		xName:       "n",
-		theorySlope: 1,
-		theoryUpper: 1,
-		key:         func(n int) inst.Key { return inst.PathKey(n) },
+		header:    []string{"n", "node-avg rounds", "node-avg / n", ""},
+		title:     "E-C60: 2-coloring a path, node-avg ~ Θ(n)",
+		xName:     "n",
+		summarize: fitted(1, 1),
+		key:       func(n int, _ uint64) inst.Key { return inst.PathKey(n) },
 		point: func(ctx context.Context, n int, seed uint64, eng engineConfig) (sweepPoint, error) {
 			tr, err := instances.Path(n)
 			if err != nil {
@@ -503,11 +462,6 @@ func twoColoringGapSpec() *sweepSpec {
 	}
 }
 
-// TwoColoringGap runs experiment E-C60 serially (the legacy driver API).
-func TwoColoringGap(ctx context.Context, sizes []int, seed uint64, parallelism int) (*SweepResult, error) {
-	return twoColoringGapSpec().runSerial(ctx, sizes, seed, engineConfig{parallelism: parallelism})
-}
-
 // copyFractionSpec declares experiment E-L40 (Lemma 40): the Copy-set size
 // of Algorithm 𝒜 on a balanced Δ-regular weight tree scales like w^x with
 // x = log(Δ−1−d)/log(Δ−1).
@@ -517,12 +471,11 @@ func copyFractionSpec(delta, d int) (*sweepSpec, error) {
 		return nil, err
 	}
 	return &sweepSpec{
-		header:      []string{"w", "copies", "copies / w^x", "bound 6·w^x"},
-		title:       fmt.Sprintf("E-L40: Copy-set of Algorithm 𝒜 (Δ=%d, d=%d), size ~ w^%.4f", delta, d, x),
-		xName:       "w",
-		theorySlope: x,
-		theoryUpper: x,
-		key:         func(w int) inst.Key { return inst.BalancedKey(delta, w) },
+		header:    []string{"w", "copies", "copies / w^x", "bound 6·w^x"},
+		title:     fmt.Sprintf("E-L40: Copy-set of Algorithm 𝒜 (Δ=%d, d=%d), size ~ w^%.4f", delta, d, x),
+		xName:     "w",
+		summarize: fitted(x, x),
+		key:       func(w int, _ uint64) inst.Key { return inst.BalancedKey(delta, w) },
 		point: func(ctx context.Context, w int, _ uint64, _ engineConfig) (sweepPoint, error) {
 			tr, err := instances.Balanced(delta, w)
 			if err != nil {
@@ -550,15 +503,6 @@ func copyFractionSpec(delta, d int) (*sweepSpec, error) {
 			}, nil
 		},
 	}, nil
-}
-
-// CopyFraction runs experiment E-L40 serially (the legacy driver API).
-func CopyFraction(ctx context.Context, delta, d int, sizes []int) (*SweepResult, error) {
-	s, err := copyFractionSpec(delta, d)
-	if err != nil {
-		return nil, err
-	}
-	return s.runSerial(ctx, sizes, 0, engineConfig{parallelism: 1})
 }
 
 // DensityPoly runs experiment E-T1 (Theorem 1): for a list of target

@@ -2,11 +2,12 @@ package exp
 
 // The ensemble-* experiment family: cross-ensemble statistics of a LOCAL
 // algorithm over seeded random-tree families (graph.BuildGaltonWatson,
-// graph.BuildLadder). An ensemble run samples one tree per point — the
-// preset values are sample indices, and sample i's tree and IDs both derive
-// from PointSeed(base, i) — so the existing task scheduler parallelizes the
-// ensemble across -jobs and -workers for free, and the canonical result is
-// byte-identical no matter how the samples are scheduled.
+// graph.BuildLadder). An ensemble is a sweepSpec whose sweep values are
+// sample indices (x-name "sample"): sample i's tree and IDs both derive from
+// PointSeed(base, i), so the task scheduler parallelizes the ensemble across
+// -jobs and -workers like any sweep, and the canonical result is
+// byte-identical no matter how the samples are scheduled. Instead of a fit,
+// an ensemble summarizes its samples in a second table (ensembleStats).
 //
 // Wire discipline: a sample's numeric summary rides in the measure.Point
 // (float64 round-trips exactly through the worker protocol's wirePoint) and
@@ -21,8 +22,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/coloring"
 	"repro/internal/graph"
@@ -31,41 +30,14 @@ import (
 	"repro/internal/sim"
 )
 
-// ensembleSpec is the decomposed form of an ensemble experiment: one
-// independent sample function per sample index. Like sweepSpec point
-// functions, samples must be pure up to their (idx, seed) inputs.
-type ensembleSpec struct {
-	header []string
-	title  string
-	// key identifies the sampled instance for (idx, seed): its String()
-	// labels the task and its Core() is the task's affinity group.
-	key func(idx int, seed uint64) inst.Key
-	// sample draws and runs one ensemble member under the point seed. The
-	// returned row's last cell must be the formatColorDist string and the
-	// point must carry (TotalRounds, node-averaged rounds); assemble depends
-	// on both.
-	sample func(ctx context.Context, idx int, seed uint64, eng engineConfig) (sweepPoint, error)
-}
-
-// pointTotals sums the execution-mechanics counters of a point set: machine
-// steps and shard traffic. They annotate the Result (and are stripped from
-// its canonical form); none of them touches a table cell.
-type pointTotals struct{ steps, boundary, crossed int64 }
-
-// assemble combines completed samples — in canonical sample order — into the
-// per-sample table and the cross-ensemble statistics table, plus the total
-// simulator machine-step work and shard traffic across the samples. Both the
-// serial path and the task planner funnel through here.
-func (s *ensembleSpec) assemble(points []sweepPoint) ([]measure.Table, pointTotals, error) {
-	samples := measure.Table{Title: s.title, Header: s.header}
+// ensembleStats is the summarize of an ensemble: the cross-ensemble
+// statistics table after the per-sample table, and no fit — an ensemble has
+// no scaling axis. Each point carries (TotalRounds, node-averaged rounds),
+// and its row ends in the formatColorDist cell.
+func ensembleStats(points []sweepPoint) ([]measure.Table, *Fit, error) {
 	var sumTotal, maxTotal, sumAvg float64
-	var totals pointTotals
 	dist := map[int64]int64{}
 	for i, p := range points {
-		samples.AddRow(p.row...)
-		totals.steps += p.steps
-		totals.boundary += p.boundary
-		totals.crossed += p.crossed
 		sumTotal += p.pt.X
 		if p.pt.X > maxTotal {
 			maxTotal = p.pt.X
@@ -76,10 +48,10 @@ func (s *ensembleSpec) assemble(points []sweepPoint) ([]measure.Table, pointTota
 		// verbatim wire copy (cross-process).
 		cell, ok := p.row[len(p.row)-1].(string)
 		if !ok {
-			return nil, pointTotals{}, fmt.Errorf("sample %d: distribution cell is %T, not string", i, p.row[len(p.row)-1])
+			return nil, nil, fmt.Errorf("sample %d: distribution cell is %T, not string", i, p.row[len(p.row)-1])
 		}
 		if err := addColorDist(dist, cell); err != nil {
-			return nil, pointTotals{}, fmt.Errorf("sample %d: %w", i, err)
+			return nil, nil, fmt.Errorf("sample %d: %w", i, err)
 		}
 	}
 	n := float64(len(points))
@@ -94,24 +66,7 @@ func (s *ensembleSpec) assemble(points []sweepPoint) ([]measure.Table, pointTota
 		stats.AddRow("mean node-avg rounds", sumAvg/n, "", "")
 		stats.AddRow("output distribution", formatColorDist(dist), "", "")
 	}
-	return []measure.Table{samples, stats}, totals, nil
-}
-
-// runSerial executes the ensemble's samples in order on the calling
-// goroutine (the Experiment.Run path).
-func (s *ensembleSpec) runSerial(ctx context.Context, idxs []int, seed uint64, eng engineConfig) ([]measure.Table, pointTotals, error) {
-	points := make([]sweepPoint, 0, len(idxs))
-	for _, idx := range idxs {
-		if err := sweepStep(ctx); err != nil {
-			return nil, pointTotals{}, err
-		}
-		p, err := s.sample(ctx, idx, PointSeed(seed, idx), eng)
-		if err != nil {
-			return nil, pointTotals{}, err
-		}
-		points = append(points, p)
-	}
-	return s.assemble(points)
+	return []measure.Table{stats}, nil, nil
 }
 
 // formatColorDist renders per-color output counts in ascending color order:
@@ -214,18 +169,20 @@ func verifiedColors(tr *graph.Tree, outputs []any) ([]int64, error) {
 }
 
 // ensembleHeader is the per-sample table header shared by the Linial
-// ensembles; the distribution cell is last by the assemble contract.
+// ensembles; the distribution cell is last, as ensembleStats expects.
 var ensembleHeader = []string{"sample", "Δ", "total rounds", "node-avg rounds", "color distribution"}
 
 // ensembleGWSpec declares a Linial-coloring ensemble over Galton-Watson
 // trees with n nodes and uniform {0..maxChildren} offspring.
-func ensembleGWSpec(n, maxChildren int) *ensembleSpec {
-	return &ensembleSpec{
+func ensembleGWSpec(n, maxChildren int) *sweepSpec {
+	return &sweepSpec{
 		header: ensembleHeader,
 		title: fmt.Sprintf("E-ENS: Linial (Δ+1)-coloring over Galton-Watson(n=%d, c=%d) samples",
 			n, maxChildren),
-		key: func(_ int, seed uint64) inst.Key { return inst.GWKey(n, maxChildren, seed) },
-		sample: func(ctx context.Context, idx int, seed uint64, eng engineConfig) (sweepPoint, error) {
+		xName:     "sample",
+		summarize: ensembleStats,
+		key:       func(_ int, seed uint64) inst.Key { return inst.GWKey(n, maxChildren, seed) },
+		point: func(ctx context.Context, idx int, seed uint64, eng engineConfig) (sweepPoint, error) {
 			tr, err := instances.GaltonWatson(n, maxChildren, seed)
 			if err != nil {
 				return sweepPoint{}, err
@@ -237,12 +194,14 @@ func ensembleGWSpec(n, maxChildren int) *ensembleSpec {
 
 // ensembleLadderSpec declares a Linial-coloring ensemble over ladder-heavy
 // trees with n nodes (max degree 3).
-func ensembleLadderSpec(n int) *ensembleSpec {
-	return &ensembleSpec{
-		header: ensembleHeader,
-		title:  fmt.Sprintf("E-ENS: Linial (Δ+1)-coloring over ladder-tree(n=%d) samples", n),
-		key:    func(_ int, seed uint64) inst.Key { return inst.LadderKey(n, seed) },
-		sample: func(ctx context.Context, idx int, seed uint64, eng engineConfig) (sweepPoint, error) {
+func ensembleLadderSpec(n int) *sweepSpec {
+	return &sweepSpec{
+		header:    ensembleHeader,
+		title:     fmt.Sprintf("E-ENS: Linial (Δ+1)-coloring over ladder-tree(n=%d) samples", n),
+		xName:     "sample",
+		summarize: ensembleStats,
+		key:       func(_ int, seed uint64) inst.Key { return inst.LadderKey(n, seed) },
+		point: func(ctx context.Context, idx int, seed uint64, eng engineConfig) (sweepPoint, error) {
 			tr, err := instances.Ladder(n, seed)
 			if err != nil {
 				return sweepPoint{}, err
@@ -250,103 +209,4 @@ func ensembleLadderSpec(n int) *ensembleSpec {
 			return runLinialSample(ctx, idx, seed, eng, tr)
 		},
 	}
-}
-
-// ensembleExperiment wraps an ensembleSpec as a registered Experiment,
-// mirroring sweepExperiment: Run executes the samples serially, Plan
-// exposes them as independently schedulable tasks, and both produce
-// identical canonical results (two tables, no fitted exponent — an ensemble
-// has no scaling axis). Preset values are sample indices.
-func ensembleExperiment(name, description, theory string, presets map[string][]int, seed uint64,
-	spec func() *ensembleSpec) *Experiment {
-	e := &Experiment{
-		Name:        name,
-		Description: description,
-		Theory:      theory,
-		Presets:     presets,
-		DefaultSeed: seed,
-	}
-	finish := func(cfg RunConfig, preset string, idxs []int, started time.Time, tables []measure.Table, totals pointTotals) *Result {
-		res := e.newResult(cfg, preset, idxs, started)
-		res.Tables = tables
-		res.Steps = totals.steps
-		if totals.boundary > 0 || totals.crossed > 0 {
-			res.ShardTraffic = &ShardTraffic{BoundaryEdges: totals.boundary, MessagesCrossed: totals.crossed}
-		}
-		return res
-	}
-	e.Run = func(ctx context.Context, cfg RunConfig) (*Result, error) {
-		if err := sweepStep(ctx); err != nil {
-			return nil, err
-		}
-		idxs, preset, err := e.sizesFor(cfg)
-		if err != nil {
-			return nil, err
-		}
-		s := spec()
-		started := time.Now()
-		tables, totals, err := s.runSerial(ctx, idxs, e.seedFor(cfg), engCfg(cfg))
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", e.Name, err)
-		}
-		return finish(cfg, preset, idxs, started, tables, totals), nil
-	}
-	e.Plan = func(cfg RunConfig) (*TaskPlan, error) {
-		idxs, preset, err := e.sizesFor(cfg)
-		if err != nil {
-			return nil, err
-		}
-		s := spec()
-		base := e.seedFor(cfg)
-		// Same clock discipline as sweepExperiment: the elapsed clock starts
-		// at the first task's start (or dispatch), not at plan derivation.
-		started := time.Now() // fallback for empty ensembles
-		var startedOnce sync.Once
-		markStarted := func() { startedOnce.Do(func() { started = time.Now() }) }
-		tasks := make([]Task, len(idxs))
-		for i, idx := range idxs {
-			idx := idx
-			pseed := PointSeed(base, idx)
-			k := s.key(idx, pseed)
-			tasks[i] = Task{
-				Label:       fmt.Sprintf("%s sample=%d", e.Name, idx),
-				Seed:        pseed,
-				InstanceKey: k.String(),
-				Affinity:    k.Core().String(),
-				Run: func(ctx context.Context) (any, error) {
-					markStarted()
-					if err := sweepStep(ctx); err != nil {
-						return nil, err
-					}
-					p, err := s.sample(ctx, idx, pseed, engCfg(cfg))
-					if err != nil {
-						return nil, fmt.Errorf("exp: %s: %w", e.Name, err)
-					}
-					return p, nil
-				},
-			}
-		}
-		return &TaskPlan{
-			Tasks: tasks,
-			Assemble: func(outs []any) (*Result, error) {
-				points := make([]sweepPoint, len(outs))
-				for i, o := range outs {
-					p, ok := o.(sweepPoint)
-					if !ok {
-						return nil, fmt.Errorf("exp: %s: task %d output is %T, not a sweep point", e.Name, i, o)
-					}
-					points[i] = p
-				}
-				tables, totals, err := s.assemble(points)
-				if err != nil {
-					return nil, fmt.Errorf("exp: %s: %w", e.Name, err)
-				}
-				return finish(cfg, preset, idxs, started, tables, totals), nil
-			},
-			Encode:  encodeSweepPoint,
-			Decode:  decodeSweepPoint,
-			Started: markStarted,
-		}, nil
-	}
-	return e
 }

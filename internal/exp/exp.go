@@ -21,8 +21,10 @@
 // persisted sets as a regression check.
 //
 // The sweep drivers themselves also live here (drivers.go), declared as
-// sweepSpec values whose point functions feed both the serial legacy API
-// (Hierarchical35, Weighted25, ...) and the task planner.
+// sweepSpec values; the ensembles (ensemble.go) are sweepSpecs too, sweeping
+// over sample indices. A spec's point functions feed only the task planner:
+// a planned experiment's Run is its plan run serially, so each experiment
+// has one execution path whatever runs it.
 package exp
 
 import (
@@ -85,13 +87,16 @@ type Experiment struct {
 	// DefaultSeed is used when RunConfig.Seed is 0.
 	DefaultSeed uint64
 	// Run executes the experiment. Implementations honor ctx between sweep
-	// points and return an error wrapping ctx.Err() on cancellation.
+	// points and return an error wrapping ctx.Err() on cancellation. For the
+	// catalog's planned experiments (sweeps and ensembles), Run is the plan
+	// run serially: RunBatch of this one experiment at Jobs 1.
 	Run func(ctx context.Context, cfg RunConfig) (*Result, error)
 	// Plan, when non-nil, decomposes a run into independently schedulable
 	// sweep-point tasks; RunBatch schedules tasks, not whole experiments.
-	// Nil means the experiment is a single unit and RunBatch wraps Run.
-	// Run and Plan must produce identical canonical results for the same
-	// RunConfig, regardless of how the plan's tasks are scheduled.
+	// Nil means the experiment is a single unit and RunBatch wraps Run (the
+	// catalog's table experiments). An experiment that sets both must
+	// produce identical canonical results from Run and from Plan for the
+	// same RunConfig, regardless of how the plan's tasks are scheduled.
 	Plan func(cfg RunConfig) (*TaskPlan, error)
 }
 
@@ -200,29 +205,12 @@ func (e *Experiment) newResult(cfg RunConfig, preset string, sizes []int, starte
 	}
 }
 
-// sweepResultOf stamps a finished SweepResult into the JSON-native Result.
-func (e *Experiment) sweepResultOf(cfg RunConfig, preset string, sizes []int, started time.Time, sr *SweepResult) *Result {
-	res := e.newResult(cfg, preset, sizes, started)
-	res.Steps = sr.Steps
-	if sr.Boundary > 0 || sr.Crossed > 0 {
-		res.ShardTraffic = &ShardTraffic{BoundaryEdges: sr.Boundary, MessagesCrossed: sr.Crossed}
-	}
-	res.Tables = []measure.Table{sr.Table}
-	res.Fit = &Fit{
-		Slope:       sr.Slope,
-		TheorySlope: sr.TheorySlope,
-		TheoryUpper: sr.TheoryUpper,
-		Points:      sr.Points,
-	}
-	return res
-}
-
-// sweepExperiment wraps a decomposable scaling sweep as a registered
-// Experiment. The spec constructor resolves the sweep's analytic constants
-// (it may fail on invalid parameters); both execution paths are built from
-// the same spec — Run executes the points serially, Plan exposes them as
-// independently schedulable tasks — so they produce identical canonical
-// results.
+// sweepExperiment wraps a decomposable sweep — a scaling sweep or an
+// ensemble — as a registered Experiment. The spec constructor resolves the
+// sweep's analytic constants (it may fail on invalid parameters). Plan
+// exposes the points as independently schedulable tasks, and Run is that
+// plan run serially (RunBatch at Jobs 1), so every execution path computes
+// through the same tasks and the same assembly.
 func sweepExperiment(name, description, theory string, presets map[string][]int, seed uint64,
 	spec func() (*sweepSpec, error)) *Experiment {
 	e := &Experiment{
@@ -233,23 +221,11 @@ func sweepExperiment(name, description, theory string, presets map[string][]int,
 		DefaultSeed: seed,
 	}
 	e.Run = func(ctx context.Context, cfg RunConfig) (*Result, error) {
-		if err := sweepStep(ctx); err != nil {
-			return nil, err
-		}
-		sizes, preset, err := e.sizesFor(cfg)
+		results, err := RunBatch(ctx, []*Experiment{e}, BatchOptions{Jobs: 1, Config: cfg})
 		if err != nil {
 			return nil, err
 		}
-		s, err := spec()
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", e.Name, err)
-		}
-		started := time.Now()
-		sr, err := s.runSerial(ctx, sizes, e.seedFor(cfg), engCfg(cfg))
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", e.Name, err)
-		}
-		return e.sweepResultOf(cfg, preset, sizes, started, sr), nil
+		return results[0], nil
 	}
 	e.Plan = func(cfg RunConfig) (*TaskPlan, error) {
 		sizes, preset, err := e.sizesFor(cfg)
@@ -277,7 +253,7 @@ func sweepExperiment(name, description, theory string, presets map[string][]int,
 			pseed := PointSeed(base, val)
 			var key, affinity string
 			if s.key != nil {
-				k := s.key(val)
+				k := s.key(val, pseed)
 				key = k.String()
 				affinity = k.Core().String()
 			}
@@ -310,7 +286,11 @@ func sweepExperiment(name, description, theory string, presets map[string][]int,
 					}
 					points[i] = p
 				}
-				return e.sweepResultOf(cfg, preset, sizes, started, s.assemble(points)), nil
+				res := e.newResult(cfg, preset, sizes, started)
+				if err := s.assemble(res, sizes, points); err != nil {
+					return nil, fmt.Errorf("exp: %s: %w", e.Name, err)
+				}
+				return res, nil
 			},
 			Encode:  encodeSweepPoint,
 			Decode:  decodeSweepPoint,

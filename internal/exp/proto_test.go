@@ -214,3 +214,42 @@ func TestFrameTypesCoverProtocol(t *testing.T) {
 		t.Fatalf("FrameTypes() = %v, want %v", got, want)
 	}
 }
+
+// TestMalformedPointRowIsAssembleError: decodeSweepPoint accepts any row, so
+// a worker can return one that does not match the experiment's header — an
+// empty row for an ensemble, a short one for a fitted sweep. Assembly must
+// reject it with an error naming the point, not index past the row.
+func TestMalformedPointRowIsAssembleError(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		short int    // task whose output is malformed; -1: every task
+		raw   string // its wire output
+		want  string
+	}{
+		{"ensemble-gw-linial", -1, `{"x":1,"y":1,"row":[]}`, "sample=1: row has 0 cells, header has 5"},
+		{"twocoloring-gap", 1, `{"x":400,"y":299.5,"row":["400","299.5","0.7488"]}`, "n=400: row has 3 cells, header has 4"},
+	} {
+		e, ok := Lookup(tc.name)
+		if !ok {
+			t.Fatalf("%s not registered", tc.name)
+		}
+		plan, err := e.Plan(RunConfig{Preset: PresetQuick})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := make([]any, len(plan.Tasks))
+		for i := range outs {
+			raw := `{"x":1,"y":1,"row":["1","1","1",""]}`
+			if tc.short < 0 || i == tc.short {
+				raw = tc.raw
+			}
+			if outs[i], err = plan.Decode(json.RawMessage(raw)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := plan.Assemble(outs)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Assemble = %v, %v; want an error containing %q", tc.name, res, err, tc.want)
+		}
+	}
+}

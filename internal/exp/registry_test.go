@@ -208,16 +208,37 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestSweepResultFitAnnotations pins the fit rows added by finish.
+// TestSweepResultFitAnnotations pins the fit rows a scaling sweep's assembly
+// appends after its point rows: fitted, theory, and theory upper (since the
+// upper exponent differs).
 func TestSweepResultFitAnnotations(t *testing.T) {
-	sr := &SweepResult{TheorySlope: 0.5, TheoryUpper: 0.75}
-	sr.Points = []measure.Point{{X: 10, Y: 10}, {X: 100, Y: 100}}
-	sr.finish("title", "n")
-	if sr.Slope < 0.99 || sr.Slope > 1.01 {
-		t.Fatalf("slope %v, want 1", sr.Slope)
+	s := &sweepSpec{
+		header:    []string{"n", "y", "", ""},
+		title:     "title",
+		xName:     "n",
+		summarize: fitted(0.5, 0.75),
 	}
-	// 3 annotation rows: fitted, theory, theory upper (since upper differs).
-	if len(sr.Table.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(sr.Table.Rows))
+	points := []sweepPoint{
+		{pt: measure.Point{X: 10, Y: 10}, row: []any{10, 10, "", ""}},
+		{pt: measure.Point{X: 100, Y: 100}, row: []any{100, 100, "", ""}},
+	}
+	var res Result
+	if err := s.assemble(&res, []int{10, 100}, points); err != nil {
+		t.Fatal(err)
+	}
+	if res.Fit.Slope < 0.99 || res.Fit.Slope > 1.01 {
+		t.Fatalf("slope %v, want 1", res.Fit.Slope)
+	}
+	if len(res.Tables) != 1 || res.Tables[0].Title != "title" {
+		t.Fatalf("tables %+v, want the one titled points table", res.Tables)
+	}
+	annotations := res.Tables[0].Rows[len(points):]
+	if len(annotations) != 3 {
+		t.Fatalf("got %d annotation rows, want 3", len(annotations))
+	}
+	for i, want := range []string{"fitted exponent vs n", "theory exponent", "theory upper exponent"} {
+		if annotations[i][0] != want {
+			t.Fatalf("annotation row %d is %q, want %q", i, annotations[i][0], want)
+		}
 	}
 }

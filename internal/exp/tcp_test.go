@@ -251,6 +251,50 @@ func TestTCPHandshakeRefusals(t *testing.T) {
 	}
 }
 
+// TestTCPMalformedResultRowFailsLabeled: a remote worker that completes
+// the handshake and then answers every task with an empty row — a frame
+// that decodes cleanly — fails the batch with a labeled assemble error
+// instead of panicking the orchestrator's session goroutine.
+func TestTCPMalformedResultRowFailsLabeled(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				enc := json.NewEncoder(conn)
+				_ = enc.Encode(HelloFrame{Type: FrameHello, Proto: ProtoVersion, Catalog: CatalogHash(),
+					Build: BuildID(), Experiments: len(List())})
+				sc := bufio.NewScanner(conn)
+				for sc.Scan() {
+					var tf TaskFrame
+					if json.Unmarshal(sc.Bytes(), &tf) != nil || tf.Type != FrameTask {
+						return
+					}
+					_ = enc.Encode(ResultFrame{Type: FrameResult, ID: tf.ID,
+						Output: json.RawMessage(`{"x":1,"y":1,"row":[]}`)})
+				}
+			}(conn)
+		}
+	}()
+	exps := lookupAll(t, []string{"ensemble-gw-linial"})
+	_, err = RunBatch(context.Background(), exps, BatchOptions{
+		Remote: []string{l.Addr().String()},
+		Config: RunConfig{Preset: PresetQuick},
+	})
+	if err == nil || !strings.Contains(err.Error(), "ensemble-gw-linial: assemble") ||
+		!strings.Contains(err.Error(), "sample=1: row has 0 cells, header has 5") {
+		t.Fatalf("err = %v, want the labeled malformed-row assemble error", err)
+	}
+}
+
 // TestTCPCleanCloseWithoutStats is the satellite regression: a remote
 // worker that completes every task and closes the connection cleanly — but
 // never sends its stats frame — fails the batch with the labeled

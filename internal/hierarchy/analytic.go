@@ -9,9 +9,9 @@ import (
 
 // Execution is the outcome of running the generic algorithm: per-node output
 // labels and termination rounds. It is produced both by the simulator (via
-// sim.Run + CollectExecution) and by RunAnalytic; the two agree exactly
-// (asserted by tests), which lets parameter sweeps use the analytic path on
-// instances far beyond what message-level simulation can reach.
+// sim.Engine.Run + CollectExecution) and by RunAnalytic; the two agree
+// exactly (asserted by tests), which lets parameter sweeps use the analytic
+// path on instances far beyond what message-level simulation can reach.
 type Execution struct {
 	Out    []Label
 	Rounds []int

@@ -34,11 +34,11 @@ func runBoth(t *testing.T, tr *graph.Tree, sched *Schedule, seed uint64) *Execut
 	k := sched.params.Problem.K
 	levels := graph.ComputeLevels(tr, k)
 	ids := sim.DefaultIDs(tr.N(), seed)
-	res, err := sim.Run(tr, Generic{Schedule: sched}, sim.Config{
-		IDs:       ids,
-		Inputs:    levelInputs(levels),
-		MaxRounds: 8*tr.N() + 256,
-	})
+	res, err := sim.NewEngine(
+		sim.WithIDs(ids),
+		sim.WithInputs(levelInputs(levels)),
+		sim.WithMaxRounds(8*tr.N()+256),
+	).Run(tr, Generic{Schedule: sched})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}

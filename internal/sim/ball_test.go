@@ -14,7 +14,7 @@ func TestBallAlgorithmCountsMatchGraphBalls(t *testing.T) {
 	}
 	for si, tr := range shapes {
 		for _, radius := range []int{0, 1, 2, 4} {
-			res, err := Run(tr, BallAlgorithm{Radius: radius}, Config{})
+			res, err := NewEngine().Run(tr, BallAlgorithm{Radius: radius})
 			if err != nil {
 				t.Fatalf("shape %d radius %d: %v", si, radius, err)
 			}
@@ -35,7 +35,7 @@ func TestBallAlgorithmCountsMatchGraphBalls(t *testing.T) {
 
 func TestBallCollectorDistances(t *testing.T) {
 	tr := mustPath(t, 9)
-	res, err := Run(tr, ballDistAlg{radius: 3}, Config{})
+	res, err := NewEngine().Run(tr, ballDistAlg{radius: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

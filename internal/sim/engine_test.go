@@ -89,12 +89,10 @@ func (m *echoAliasMachine) Step(round int, recv []any) ([]any, bool) {
 
 func (m *echoAliasMachine) Output() any { return m.got }
 
-// TestEngineGoldenSemantics pins the simulator contract to concrete values
-// (Run now delegates to the Engine, so comparing the two would be vacuous):
+// TestEngineGoldenSemantics pins the simulator contract to concrete values:
 // with tickAlg{rounds: R} on a path, every node terminates in round R, the
 // execution takes R+1 rounds total, and exactly R rounds of full-degree
-// sends are delivered. The legacy Config wrapper must plumb through to the
-// same result.
+// sends are delivered.
 func TestEngineGoldenSemantics(t *testing.T) {
 	const n, rounds = 500, 7
 	tr := mustPath(t, n)
@@ -115,13 +113,6 @@ func TestEngineGoldenSemantics(t *testing.T) {
 	// edge: 2(n-1) on a path.
 	if want := int64(rounds * 2 * (n - 1)); res.Messages != want {
 		t.Fatalf("Messages = %d, want %d", res.Messages, want)
-	}
-	legacy, err := Run(tr, tickAlg{rounds: rounds}, Config{IDs: ids})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, res) {
-		t.Fatal("legacy Config wrapper diverges from engine options")
 	}
 }
 

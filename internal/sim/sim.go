@@ -161,30 +161,6 @@ func (r *Result) SumRounds() int64 {
 	return sum
 }
 
-// Config controls an execution.
-type Config struct {
-	// IDs assigns the identifier of each node; if nil, DefaultIDs(seed=1) is
-	// used.
-	IDs []uint64
-	// Inputs assigns each node's input label; may be nil.
-	Inputs []any
-	// MaxRounds aborts the run if some node has not terminated after this
-	// many rounds; 0 means 4*n + 64 (a generous bound for linear-time
-	// algorithms).
-	MaxRounds int
-}
-
-// Run executes alg on t under cfg. It is the legacy entry point, kept for
-// existing callers; new code should configure an Engine via NewEngine and
-// functional options (WithContext, WithParallelism, ...).
-func Run(t *graph.Tree, alg Algorithm, cfg Config) (*Result, error) {
-	return NewEngine(
-		WithIDs(cfg.IDs),
-		WithInputs(cfg.Inputs),
-		WithMaxRounds(cfg.MaxRounds),
-	).Run(t, alg)
-}
-
 func clearAny(xs []any) {
 	for i := range xs {
 		xs[i] = nil

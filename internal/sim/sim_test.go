@@ -54,7 +54,7 @@ func TestFloodMaxIDConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := DefaultIDs(tr.N(), 7)
-	res, err := Run(tr, maxIDAlg{}, Config{IDs: ids})
+	res, err := NewEngine(WithIDs(ids)).Run(tr, maxIDAlg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestTerminatedOutputsPropagate(t *testing.T) {
 	}
 	inputs := make([]any, 6)
 	inputs[0] = "A"
-	res, err := Run(tr, copyNeighborAlg{activeDelay: 3}, Config{Inputs: inputs})
+	res, err := NewEngine(WithInputs(inputs)).Run(tr, copyNeighborAlg{activeDelay: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestImmediateTerminationHasZeroCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(tr, immediateAlg{}, Config{})
+	res, err := NewEngine().Run(tr, immediateAlg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRoundLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(tr, stubbornAlg{}, Config{MaxRounds: 10}); err == nil {
+	if _, err := NewEngine(WithMaxRounds(10)).Run(tr, stubbornAlg{}); err == nil {
 		t.Fatal("want round-limit error")
 	}
 }
@@ -237,7 +237,7 @@ func TestRunRejectsWrongIDCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(tr, immediateAlg{}, Config{IDs: []uint64{1}}); err == nil {
+	if _, err := NewEngine(WithIDs([]uint64{1})).Run(tr, immediateAlg{}); err == nil {
 		t.Fatal("want ID-count error")
 	}
 }
@@ -247,7 +247,7 @@ func TestMessagesCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(tr, maxIDAlg{}, Config{})
+	res, err := NewEngine().Run(tr, maxIDAlg{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,11 +58,6 @@
 //     (internal/landscape);
 //   - the Section-11 decidability machinery for path LCLs
 //     (internal/pathlcl).
-//
-// The context-free driver functions below (Hierarchical35, Weighted25, ...)
-// are the legacy entry points, kept stable for downstream users and the
-// repository-level benchmarks; each is a thin wrapper over the corresponding
-// registry driver in internal/exp.
 package repro
 
 import (
@@ -73,15 +68,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/inst"
-	"repro/internal/measure"
 )
-
-// ExpResult is a scaling-experiment outcome: a formatted table, the fitted
-// exponent, and the paper's exponent(s).
-type ExpResult = exp.SweepResult
-
-// Table is a formatted result table.
-type Table = measure.Table
 
 // Experiment is a registered, runnable scenario; see the internal/exp
 // package documentation.
@@ -219,61 +206,3 @@ func InstanceCacheKinds() []inst.Kind { return inst.Kinds() }
 // and the point's sweep value; see exp.PointSeed. It is a pure function of
 // its inputs, so a point's IDs never depend on scheduling order.
 func PointSeed(base uint64, point int) uint64 { return exp.PointSeed(base, point) }
-
-// Hierarchical35 reproduces Theorem 11 (E-T11): node-averaged complexity of
-// k-hierarchical 3½-coloring is Θ(t) at scale parameter t = T.
-func Hierarchical35(k int, scales []int, seed uint64) (*ExpResult, error) {
-	return exp.Hierarchical35(context.Background(), k, scales, seed)
-}
-
-// Weighted25 reproduces Theorems 2-3 (E-T2T3): Π^{2.5}_{Δ,d,k} has
-// node-averaged complexity Θ(n^{α1(x)}).
-func Weighted25(delta, d, k int, sizes []int, seed uint64) (*ExpResult, error) {
-	return exp.Weighted25(context.Background(), delta, d, k, sizes, seed)
-}
-
-// Weighted35 reproduces Theorems 4-5 (E-T4T5): Π^{3.5}_{Δ,d,k} scales
-// between (log* n)^{α1(x)} and (log* n)^{α1(x′)} in the scale parameter.
-func Weighted35(delta, d, k int, scales []int, weightFactor int, seed uint64) (*ExpResult, error) {
-	return exp.Weighted35(context.Background(), delta, d, k, scales, weightFactor, seed)
-}
-
-// WeightAugmented reproduces Lemmas 68-69 (E-L68): node-averaged complexity
-// Θ(n^{1/k}) for the weight-augmented 2½-coloring.
-func WeightAugmented(k, delta int, sizes []int, seed uint64) (*ExpResult, error) {
-	return exp.WeightAugmented(context.Background(), k, delta, sizes, seed)
-}
-
-// TwoColoringGap reproduces Corollary 60 (E-C60): node-averaged Θ(n) for
-// 2-coloring paths, via real message-passing simulation.
-func TwoColoringGap(sizes []int, seed uint64) (*ExpResult, error) {
-	return exp.TwoColoringGap(context.Background(), sizes, seed, 1)
-}
-
-// CopyFraction reproduces Lemma 40 (E-L40): Copy-set size w^x of Algorithm
-// 𝒜 on balanced Δ-regular weight trees.
-func CopyFraction(delta, d int, sizes []int) (*ExpResult, error) {
-	return exp.CopyFraction(context.Background(), delta, d, sizes)
-}
-
-// DensityPoly reproduces Theorem 1 (E-T1): concrete (Δ,d,k) witnesses for
-// exponents in requested intervals.
-func DensityPoly(intervals [][2]float64) (Table, error) {
-	return exp.DensityPoly(context.Background(), intervals)
-}
-
-// DensityLogStar reproduces Theorem 6 (E-T6).
-func DensityLogStar(intervals [][2]float64, eps float64) (Table, error) {
-	return exp.DensityLogStar(context.Background(), intervals, eps)
-}
-
-// PathLCLTable reproduces the Theorem 7 decidability demonstration (E-T7).
-func PathLCLTable() (Table, error) { return exp.PathLCLTable() }
-
-// LandscapeFigures renders Figures 1 and 2 of the paper as tables.
-func LandscapeFigures() (Table, Table) { return exp.LandscapeFigures() }
-
-// SurvivorCounts reproduces the Lemma 13 survivor bound (E-GEN).
-func SurvivorCounts(lengths []int, gammas []int, seed uint64) (Table, error) {
-	return exp.SurvivorCounts(context.Background(), lengths, gammas, seed)
-}
