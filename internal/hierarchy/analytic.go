@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/coloring"
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 // Execution is the outcome of running the generic algorithm: per-node output
@@ -13,29 +14,8 @@ import (
 // exactly (asserted by tests), which lets parameter sweeps use the analytic
 // path on instances far beyond what message-level simulation can reach.
 type Execution struct {
-	Out    []Label
-	Rounds []int
-}
-
-// NodeAveraged returns (1/n) * sum_v T_v.
-func (e *Execution) NodeAveraged() float64 {
-	if len(e.Rounds) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, t := range e.Rounds {
-		sum += int64(t)
-	}
-	return float64(sum) / float64(len(e.Rounds))
-}
-
-// SumRounds returns sum_v T_v.
-func (e *Execution) SumRounds() int64 {
-	var sum int64
-	for _, t := range e.Rounds {
-		sum += int64(t)
-	}
-	return sum
+	Out []Label
+	sim.Rounds
 }
 
 // RunAnalytic executes the generic algorithm's decision logic centrally,
@@ -88,7 +68,6 @@ func RunAnalytic(t *graph.Tree, levels []int, sched *Schedule, ids []uint64) (*E
 
 	// Phases 1..k-1.
 	for i := 1; i < k; i++ {
-		start := sched.Start(i)
 		decision := sched.DecisionRound(i)
 		gamma := sched.params.Gammas[i-1]
 		for _, seg := range activeSegments(t, levels, decided, i) {
@@ -100,7 +79,6 @@ func RunAnalytic(t *graph.Tree, levels []int, sched *Schedule, ids []uint64) (*E
 			}
 			colorSegment(seg, ids, func(_, v int, lab Label) { decide(v, lab, decision) })
 		}
-		_ = start
 		relaxExempt()
 	}
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hierarchy"
+	"repro/internal/sim"
 )
 
 // Secondary is the secondary output of a weight node in the weight-augmented
@@ -150,20 +151,8 @@ func validateAugParams(k, delta int) error {
 
 // AugResult is an execution of the weight-augmented solver.
 type AugResult struct {
-	Out    []AugOutput
-	Rounds []int
-}
-
-// NodeAveraged returns (1/n) Σ_v T_v.
-func (r *AugResult) NodeAveraged() float64 {
-	if len(r.Rounds) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, t := range r.Rounds {
-		sum += int64(t)
-	}
-	return float64(sum) / float64(len(r.Rounds))
+	Out []AugOutput
+	sim.Rounds
 }
 
 // SolveAug solves the k-hierarchical weight-augmented 2½-coloring

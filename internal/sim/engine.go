@@ -21,19 +21,20 @@ import (
 // the live-node count — Θ(Σ_v T_v) machine steps over a whole run instead of
 // Θ(n · TotalRounds).
 //
-// The parallel backend steps the frontier of a single round across a
-// persistent worker pool. The LOCAL model's synchronous-round barrier makes
-// this semantics-preserving: within a round, node v only reads its own inbox
-// (written during the previous round) and only writes the slots
-// next[u][port-back-to-v], which no other node writes. Rounds, outputs, and
-// message counts are therefore bit-identical between sequential and parallel
-// executions.
-//
-// The sharded backend (WithShards) instead partitions the tree into
-// contiguous node-range shards with private state (each with its own
-// frontier), exchanging only cross-shard boundary messages at the round
-// barrier; see shard.go. It is equally bit-identical to the sequential
-// backend.
+// All backends also share one pull kernel, one step kernel, and one round
+// loop. A run is cut into parts — contiguous node ranges, each with its own
+// machines, frontier, and message slots: an unsharded run is one part over
+// [0, n), and WithShards(k) makes k parts that exchange only cross-part
+// messages at the round barrier (see shard.go). Each round is split into
+// units: contiguous chunks of the single part's frontier under
+// WithParallelism(p), or one unit per live part under WithShards(k). A single
+// unit runs inline; several run on persistent goroutines, with a barrier
+// after the pull phase and after the step phase. The LOCAL model's
+// synchronous-round barrier makes this semantics-preserving: within a round,
+// node v only reads its own inbox (written during the previous round) and
+// only writes the slots next[u][port-back-to-v], which no other node writes.
+// Rounds, outputs, and message counts are therefore bit-identical across
+// every parallelism level, shard count, and shard layout.
 type Engine struct {
 	ids         []uint64
 	inputs      []any
@@ -151,74 +152,58 @@ func (e *Engine) Run(t *graph.Tree, alg Algorithm) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("sim: unknown shard layout %q", e.layout)
 	}
-	if shards := e.shards; shards > 1 || shards < 0 {
-		if shards < 0 {
-			shards = runtime.GOMAXPROCS(0)
-		}
-		if shards > n {
-			shards = n
-		}
-		if shards > 1 {
-			return e.runSharded(t, alg, ids, maxRounds, shards)
-		}
+	k := e.shards
+	if k < 0 {
+		k = runtime.GOMAXPROCS(0)
 	}
-	workers := e.parallelism
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 { // the zero value is the sequential backend
-		workers = 1
-	}
-	if workers > n {
-		workers = n
+	k = max(1, min(k, n))
+	workers := 1
+	if k == 1 { // WithParallelism applies to the unsharded backend only
+		workers = e.parallelism
+		if workers < 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		workers = max(1, min(workers, n)) // the zero value is the sequential backend
 	}
 
-	slots := 2 * t.M()
-	r := &run{
-		alg:       alg,
-		ctx:       e.ctx,
-		maxRounds: maxRounds,
-		workers:   workers,
-		off:       t.Offsets(),
-		nbrs:      t.AdjacencyRaw(),
-		rev:       reverseSlots(t),
-		machines:  make([]Machine, n),
-		done:      make([]bool, n),
-		frozen:    make([]any, n),
-		inbox:     make([]any, slots),
-		next:      make([]any, slots),
-		active:    make([]int32, n),
-		res: &Result{
-			Rounds:  make([]int, n),
-			Outputs: make([]any, n),
-		},
+	r := &run{alg: alg, ctx: e.ctx, maxRounds: maxRounds, workers: workers, live: n}
+	exec, inputs, cuts := t, e.inputs, graph.RangeCuts(n, k)
+	if k > 1 {
+		if e.layout == LayoutSubtree {
+			exec, ids, inputs, cuts = r.relabel(t, ids, inputs, k)
+		}
+		r.owner = (&graph.Layout{Cuts: cuts}).Owners()
 	}
-	if workers > 1 {
-		r.stats = make([]rangeStats, workers)
-	}
-	for v := 0; v < n; v++ {
+	r.off, r.nbrs, r.rev = exec.Offsets(), exec.AdjacencyRaw(), reverseSlots(exec)
+	r.dst = r.rev
+	r.machines = make([]Machine, n)
+	r.done = make([]bool, n)
+	r.frozen = make([]any, n)
+	r.res = &Result{Rounds: make([]int, n), Outputs: make([]any, n)}
+	active := make([]int32, n)
+	for v := range active {
 		var input any
-		if e.inputs != nil {
-			input = e.inputs[v]
+		if inputs != nil {
+			input = inputs[v]
 		}
-		r.active[v] = int32(v)
-		r.machines[v] = alg.NewMachine(NodeInfo{
-			ID:     ids[v],
-			Degree: t.Degree(v),
-			N:      n,
-			Input:  input,
-		})
+		active[v] = int32(v)
+		r.machines[v] = alg.NewMachine(NodeInfo{ID: ids[v], Degree: exec.Degree(v), N: n, Input: input})
 	}
+	r.parts = make([]part, k)
+	for i := range r.parts {
+		lo, hi := cuts[i], cuts[i+1]
+		if hi <= lo {
+			return nil, fmt.Errorf("sim: internal: empty shard %d in cuts %v (n=%d, k=%d)", i, cuts, n, k)
+		}
+		r.parts[i] = part{lo: lo, hi: hi, active: active[lo:hi:hi], stats: ShardStats{Shard: i, Nodes: int(hi - lo)}}
+	}
+	slots := len(r.rev)
+	if k > 1 {
+		slots += r.stage()
+	}
+	r.inbox = make([]any, slots)
+	r.next = make([]any, slots)
 	return r.execute()
-}
-
-// rangeStats accumulates what one worker observed over its slice of the
-// frontier in one round.
-type rangeStats struct {
-	kept  int // frontier entries surviving the round (compacted in place)
-	steps int64
-	msgs  int64
-	err   error
 }
 
 // run is the mutable state of one execution, kept in struct-of-arrays form:
@@ -226,73 +211,104 @@ type rangeStats struct {
 // and all message state lives in two flat arrays indexed by directed-edge
 // slot — port p of node v is slot off[v]+p, so the receive window of v is
 // the contiguous range inbox[off[v]:off[v+1]] and a round is a linear sweep
-// over contiguous memory.
+// over contiguous memory. Because the tree is in CSR form, a part's node
+// range [lo, hi) owns the slot range [off[lo], off[hi)): only that part's
+// kernels touch those entries, and only the bus writes them for another
+// part.
 //
-// active is the frontier: the ascending list of not-yet-terminated nodes. A
-// round touches only active entries; stepRange compacts survivors in place,
-// so terminated nodes cost nothing from the round after their termination
-// on. Frozen-output redelivery is pulled by the live side (pullRange fills a
-// stepping node's empty inbox slots from terminated neighbors) rather than
-// pushed by the terminated side, which is what lets the dead set drop out of
-// the per-round cost entirely.
+// Under the subtree layout every index here is an *execution* index: the run
+// operates on a relabeled tree in which each part's nodes are contiguous,
+// and orig maps execution indices back to construction indices for
+// everything the caller observes (Rounds, Outputs, error messages).
 type run struct {
 	alg       Algorithm
 	ctx       context.Context
 	maxRounds int
-	workers   int
+	workers   int // units per part; 1 whenever there are several parts
 
 	off  []int32 // CSR offsets (shared with the tree; read-only)
 	nbrs []int32 // CSR neighbors: nbrs[off[v]+p] is the p-th neighbor of v
 	rev  []int32 // rev[e] = flat slot of the reverse directed edge
+	// dst[e] is the slot a send on edge slot e is written to: rev[e], or,
+	// for an edge between two parts, the sender's staging slot (see stage).
+	dst   []int32
+	owner []int32 // owner[v] = part of node v; nil when there is one part
+	orig  []int32 // execution index -> construction index; nil = identity
 
 	machines []Machine
 	done     []bool
 	// frozen[v] caches the boxed Terminated{Output} interface value created
 	// once when v terminates, so every later pull of it is allocation-free.
 	frozen []any
-	inbox  []any   // flat receive slots, len 2*M
-	next   []any   // flat send slots for the following round, len 2*M
-	active []int32 // frontier: undecided nodes, ascending, compacted in place
-	nDone  int     // terminated so far; pull phases are skipped while 0
+	inbox  []any // flat receive slots (len 2*M), then the staging slots
+	next   []any // the same layout, written this round and swapped in next
+	parts  []part
+	live   int // nodes not yet terminated, over all parts
 	res    *Result
 
-	// Parallel backend only: the persistent worker pool. Workers live for
-	// the whole run (no per-round goroutine spawning); the coordinator
-	// broadcasts one command per phase and collects one ack per dispatched
-	// worker. stats[w] is written only by worker w and read by the
-	// coordinator after the round barrier.
-	stats []rangeStats
-	cmds  []chan poolCmd
+	// units holds this round's units; unit w runs on goroutine w when there
+	// are several. The coordinator writes units and round before each
+	// phase's commands and reads the units' counters after the acks.
+	units []unit
+	round int
+	cmds  []chan bool // true: pull phase, false: step phase
 	ack   chan struct{}
 }
 
-// poolCmd is one phase of work for a pool worker: the pull or step phase of
-// a round, over the frontier slice [lo, hi).
-type poolCmd struct {
-	pull   bool
-	round  int
+// part is one contiguous node range [lo, hi) of the run, with its own
+// frontier.
+type part struct {
+	lo, hi int32
+	// active is the part's frontier: its undecided nodes, ascending,
+	// compacted in place as they terminate.
+	active []int32
+	nDone  int // terminated so far; with remoteFrozen it gates the pull phase
+
+	// Multi-part runs only. cross lists the part's edge slots that lead to
+	// another part's node: the traffic the bus carries. remoteFrozen[e-off[lo]]
+	// caches the frozen output of the terminated remote neighbor behind
+	// receive slot e, delivered once by the bus; the pull phase serves it in
+	// every later round at zero bus cost. It is allocated on the first fill,
+	// so runs whose boundary nodes never terminate early pay nothing for it.
+	cross        []int32
+	remoteFrozen []any
+
+	stats ShardStats
+}
+
+// unit is one round's share of work: the frontier entries p.active[lo:hi).
+// The step kernel compacts the survivors to the front of that range and
+// reports its counters here.
+type unit struct {
+	p      *part
 	lo, hi int
+	kept   int
+	steps  int64
+	msgs   int64
+	err    error
 }
 
-// worker is the body of one persistent pool goroutine: it performs phases
-// until the coordinator closes its command channel.
-func (r *run) worker(w int) {
-	for c := range r.cmds[w] {
-		if c.pull {
-			r.pullRange(c.lo, c.hi)
-		} else {
-			r.stats[w] = r.stepRange(c.round, c.lo, c.hi)
-		}
-		r.ack <- struct{}{}
+// origNode maps an execution index back to its construction index.
+func (r *run) origNode(v int) int {
+	if r.orig == nil {
+		return v
 	}
+	return int(r.orig[v])
 }
 
+// execute drives the round loop: split the frontiers into units, pull and
+// step them behind a barrier each, merge, exchange boundary messages, and
+// swap the message buffers, until every node has terminated. The
+// goroutines live for the whole run and stop when execute closes their
+// command channels.
 func (r *run) execute() (*Result, error) {
-	if r.workers > 1 {
-		r.ack = make(chan struct{}, r.workers)
-		r.cmds = make([]chan poolCmd, r.workers)
+	g := max(len(r.parts), r.workers)
+	r.units = make([]unit, 0, g)
+	if g > 1 {
+		r.ack = make(chan struct{}, g)
+		r.cmds = make([]chan bool, g)
 		for w := range r.cmds {
-			r.cmds[w] = make(chan poolCmd)
+			r.cmds[w] = make(chan bool)
 			go r.worker(w)
 		}
 		defer func() {
@@ -302,177 +318,216 @@ func (r *run) execute() (*Result, error) {
 		}()
 	}
 	for round := 0; ; round++ {
-		if len(r.active) == 0 {
+		if r.live == 0 {
 			r.res.TotalRounds = round
+			if len(r.parts) > 1 {
+				r.res.Shards = make([]ShardStats, len(r.parts))
+				for i := range r.parts {
+					r.res.Shards[i] = r.parts[i].stats
+				}
+			}
 			return r.res, nil
 		}
 		if round >= r.maxRounds {
 			return nil, fmt.Errorf("%w: algorithm %q, n=%d, limit=%d",
-				ErrRoundLimit, r.alg.Name(), len(r.machines), r.maxRounds)
+				ErrRoundLimit, r.alg.Name(), len(r.res.Rounds), r.maxRounds)
 		}
 		if err := r.ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: algorithm %q canceled at round %d: %w",
 				r.alg.Name(), round, err)
 		}
-		st := r.round(round)
-		if st.err != nil {
-			return nil, st.err
+		r.round = round
+		// The pull phase reads done/frozen state that the step phase writes,
+		// so the two must not overlap.
+		if r.split() {
+			r.phase(true)
 		}
-		r.res.Messages += st.msgs
-		r.res.Steps += st.steps
+		r.phase(false)
+		if err := r.merge(); err != nil {
+			return nil, err
+		}
+		if r.owner != nil {
+			r.exchange()
+		}
 		r.inbox, r.next = r.next, r.inbox
 	}
 }
 
-// round executes one synchronous round over the frontier: a pull phase
-// (filling live nodes' empty inbox slots from terminated neighbors — skipped
-// entirely while nothing has terminated) and a step phase, then compacts the
-// frontier. The parallel backend splits both phases into contiguous frontier
-// chunks across the pool, with a barrier between them: the pull phase reads
-// done/frozen state that the step phase writes, so they must not overlap.
-// Stats and errors merge lowest-chunk-first, which keeps the reported error
-// deterministic (the same node order the sequential backend fails in).
-func (r *run) round(round int) rangeStats {
-	n := len(r.active)
-	if r.workers <= 1 {
-		if r.nDone > 0 {
-			r.pullRange(0, n)
+// split cuts this round's frontiers into units: every part with live nodes
+// contributes contiguous chunks of at most ceil(len(active)/workers)
+// entries, so a multi-part run (workers = 1) has one unit per live part.
+// split reports whether any part has a frozen output to pull.
+func (r *run) split() (pull bool) {
+	r.units = r.units[:0]
+	for i := range r.parts {
+		p := &r.parts[i]
+		n := len(p.active)
+		if n == 0 {
+			continue
 		}
-		st := r.stepRange(round, 0, n)
-		if st.err == nil {
-			r.nDone += n - st.kept
-			r.active = r.active[:st.kept]
-		}
-		return st
-	}
-	chunk := (n + r.workers - 1) / r.workers
-	used := (n + chunk - 1) / chunk
-	if r.nDone > 0 {
-		r.dispatch(poolCmd{pull: true}, n, chunk, used)
-	}
-	r.dispatch(poolCmd{round: round}, n, chunk, used)
-	var total rangeStats
-	for w := 0; w < used; w++ {
-		total.steps += r.stats[w].steps
-		total.msgs += r.stats[w].msgs
-		if total.err == nil {
-			total.err = r.stats[w].err
+		p.stats.ActiveRounds++
+		pull = pull || p.nDone > 0 || p.remoteFrozen != nil
+		chunk := (n + r.workers - 1) / r.workers
+		for lo := 0; lo < n; lo += chunk {
+			r.units = append(r.units, unit{p: p, lo: lo, hi: min(lo+chunk, n)})
 		}
 	}
-	if total.err != nil {
-		return total
-	}
-	// Merge the per-chunk in-place compactions into one contiguous frontier,
-	// lowest chunk first: each worker left its survivors at the front of its
-	// chunk, so the merge is at most one forward copy per chunk and the
-	// frontier stays in ascending node order.
-	write := 0
-	for w := 0; w < used; w++ {
-		lo, kept := w*chunk, r.stats[w].kept
-		if write != lo {
-			copy(r.active[write:write+kept], r.active[lo:lo+kept])
-		}
-		write += kept
-	}
-	r.nDone += n - write
-	r.active = r.active[:write]
-	total.kept = write
-	return total
+	return pull
 }
 
-// dispatch broadcasts one phase over the first `used` workers, splitting the
-// frontier prefix [0, n) into contiguous chunks, and waits for all acks — the
-// intra-round barrier between the pull and step phases.
-func (r *run) dispatch(c poolCmd, n, chunk, used int) {
-	for w := 0; w < used; w++ {
-		c.lo = w * chunk
-		c.hi = c.lo + chunk
-		if c.hi > n {
-			c.hi = n
-		}
-		r.cmds[w] <- c
+// phase runs the pull or the step kernel on every unit and returns once all
+// are done: inline when there is one unit, otherwise on the goroutines.
+func (r *run) phase(pull bool) {
+	if len(r.units) == 1 {
+		r.kernel(&r.units[0], pull)
+		return
 	}
-	for w := 0; w < used; w++ {
+	for w := range r.units {
+		r.cmds[w] <- pull
+	}
+	for range r.units {
 		<-r.ack
 	}
 }
 
-// pullRange fills the empty inbox slots of the frontier nodes in active[lo:hi)
-// from their terminated neighbors' frozen outputs — the pull form of frozen
-// redelivery. A non-nil slot is a real message (possibly sent in the
-// neighbor's terminating round) and takes precedence. The phase reads only
-// done/frozen state from completed rounds — the step phase runs behind a
-// barrier — and writes only the receive windows of the range's own nodes, so
-// parallel pulls are race-free.
-func (r *run) pullRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := r.active[i]
-		for e := r.off[v]; e < r.off[v+1]; e++ {
-			if r.inbox[e] == nil {
-				if u := r.nbrs[e]; r.done[u] {
-					r.inbox[e] = r.frozen[u]
+func (r *run) worker(w int) {
+	for pull := range r.cmds[w] {
+		r.kernel(&r.units[w], pull)
+		r.ack <- struct{}{}
+	}
+}
+
+func (r *run) kernel(u *unit, pull bool) {
+	if pull {
+		r.pull(u)
+	} else {
+		r.step(u)
+	}
+}
+
+// merge folds the units' counters into the result and the parts, lowest
+// unit first, so the reported error is the one the sequential backend would
+// hit first. Each unit left its survivors at the front of its chunk, so
+// rebuilding a part's frontier is at most one forward copy per chunk and the
+// frontier stays in ascending node order.
+func (r *run) merge() error {
+	write := 0
+	for i := range r.units {
+		u := &r.units[i]
+		if u.err != nil {
+			return u.err
+		}
+		p := u.p
+		if u.lo == 0 {
+			write = 0
+		}
+		if write != u.lo {
+			copy(p.active[write:], p.active[u.lo:u.lo+u.kept])
+		}
+		write += u.kept
+		fins := u.hi - u.lo - u.kept
+		p.nDone += fins
+		r.live -= fins
+		r.res.Steps += u.steps
+		r.res.Messages += u.msgs
+		p.stats.Steps += u.steps
+		if u.hi == len(p.active) {
+			p.active = p.active[:write]
+		}
+	}
+	return nil
+}
+
+// pull fills the empty inbox slots of the unit's frontier nodes from the
+// frozen outputs of their terminated neighbors: local ones from the run's
+// state, remote ones from the part's remoteFrozen cache. A non-nil slot is
+// a real message (possibly sent in the neighbor's terminating round) and
+// takes precedence. The phase reads only state from completed rounds and
+// writes only the receive windows of the unit's own nodes, so concurrent
+// pulls are race-free.
+func (r *run) pull(u *unit) {
+	p := u.p
+	if p.nDone == 0 && p.remoteFrozen == nil {
+		return
+	}
+	off, nbrs, inbox, done, frozen := r.off, r.nbrs, r.inbox, r.done, r.frozen
+	lo, hi, remote, base := p.lo, p.hi, p.remoteFrozen, off[p.lo]
+	for _, v := range p.active[u.lo:u.hi] {
+		for e := off[v]; e < off[v+1]; e++ {
+			if inbox[e] != nil {
+				continue
+			}
+			if w := nbrs[e]; w >= lo && w < hi {
+				if done[w] {
+					inbox[e] = frozen[w]
 				}
+			} else if remote != nil {
+				inbox[e] = remote[e-base]
 			}
 		}
 	}
 }
 
-// stepRange runs one round for the frontier nodes in active[lo:hi),
-// compacting survivors to the front of the range. Each node's receive window
-// is a subslice of the flat inbox, consumed in place (clear-and-swap: the
-// cleared window becomes the node's receive window after the swap), so no
-// separate clearing pass over all ports is needed and steady-state rounds
-// allocate nothing. In the parallel backend the frontier chunks hold
-// disjoint nodes, so their slot windows are disjoint too, and every
-// next[rev[e]] write has a single writer (the owner of edge slot e).
-func (r *run) stepRange(round, lo, hi int) rangeStats {
-	var st rangeStats
-	keep := lo
-	for i := lo; i < hi; i++ {
-		v := int(r.active[i])
-		base, end := r.off[v], r.off[v+1]
-		recv := r.inbox[base:end:end]
-		send, fin := r.machines[v].Step(round, recv)
-		st.steps++
+// step runs one round for the unit's frontier nodes, compacting survivors
+// to the front of the unit's range. Each node's receive window is consumed
+// and cleared in place, so the swapped buffers need no clearing pass and
+// steady-state rounds allocate nothing. A send is written to next[dst[e]]:
+// the receiver's slot, or, on an edge to another part, the sender's staging
+// slot, which the bus ships at the barrier. The kernel has no multi-part
+// branch; a branch per message measurably slowed the sequential backend.
+// Units hold disjoint nodes, so every next[dst[e]] write has a single
+// writer (the owner of edge slot e).
+func (r *run) step(u *unit) {
+	p, round := u.p, r.round
+	// Locals, not fields: the interface call to Step would make the
+	// compiler reload every field on each iteration.
+	off, dst, machines, inbox, next := r.off, r.dst, r.machines, r.inbox, r.next
+	active := p.active
+	var steps, msgs int64
+	from, to := u.lo, u.hi
+	keep := from
+	for i := from; i < to; i++ {
+		v := int(active[i])
+		base, end := off[v], off[v+1]
+		recv := inbox[base:end:end]
+		send, fin := machines[v].Step(round, recv)
+		steps++
 		deg := int(end - base)
-		for p := deg; p < len(send); p++ {
-			if send[p] != nil {
-				st.err = fmt.Errorf("%w: algorithm %q node %d port %d degree %d",
-					ErrBadPort, r.alg.Name(), v, p, deg)
-				st.kept = keep - lo
-				return st
+		for q := deg; q < len(send); q++ {
+			if send[q] != nil {
+				u.err = fmt.Errorf("%w: algorithm %q node %d port %d degree %d",
+					ErrBadPort, r.alg.Name(), r.origNode(v), q, deg)
+				return
 			}
 		}
-		for p := 0; p < len(send) && p < deg; p++ {
-			if send[p] == nil {
+		for q := 0; q < len(send) && q < deg; q++ {
+			if send[q] == nil {
 				continue
 			}
-			r.next[r.rev[int(base)+p]] = send[p]
-			st.msgs++
+			next[dst[int(base)+q]] = send[q]
+			msgs++
 		}
 		// Clear only after the sends are copied out: a machine may return its
 		// recv slice as send.
 		clearAny(recv)
 		if !fin {
-			r.active[keep] = int32(v)
+			active[keep] = int32(v)
 			keep++
 			continue
 		}
 		r.done[v] = true
-		r.res.Rounds[v] = round
-		out := r.machines[v].Output()
+		orig := r.origNode(v)
+		r.res.Rounds[orig] = round
+		out := machines[v].Output()
 		if out == nil {
-			st.err = fmt.Errorf("%w: algorithm %q node %d",
-				ErrNilOutput, r.alg.Name(), v)
-			st.kept = keep - lo
-			return st
+			u.err = fmt.Errorf("%w: algorithm %q node %d", ErrNilOutput, r.alg.Name(), orig)
+			return
 		}
-		r.res.Outputs[v] = out
-		// From the next round on, still-active neighbors observe the frozen
-		// output by pulling it; a final message sent in the terminating round
-		// stays in its slot and takes precedence.
+		r.res.Outputs[orig] = out
+		// From the next round on, live neighbors observe the frozen output by
+		// pulling it; a real message sent in the terminating round stays in
+		// its slot and takes precedence.
 		r.frozen[v] = Terminated{Output: out}
 	}
-	st.kept = keep - lo
-	return st
+	u.kept, u.steps, u.msgs = keep-from, steps, msgs
 }

@@ -187,29 +187,40 @@ func TestEngineInputLengthValidation(t *testing.T) {
 	}
 }
 
-// TestEngineSteadyStateAllocs asserts the hot-loop allocation fix: after
-// setup, extra rounds must not allocate (message buffers are reused via
-// clear-and-swap, and the boxed Terminated value is cached per node). The
-// assertion compares whole-run allocations of a short and a long run on the
-// same instance; the difference is the per-round churn.
+// TestEngineSteadyStateAllocs asserts the hot-loop allocation fix on every
+// backend: after setup, extra rounds must not allocate (message buffers are
+// reused via clear-and-swap, the boxed Terminated value is cached per node,
+// and the round's units and the shards' outboxes keep their backing
+// arrays). The assertion compares whole-run allocations of a short and a
+// long run on the same instance; the difference is the per-round churn.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const n, shortR, longR = 256, 8, 264
 	tr := mustPath(t, n)
 	ids := DefaultIDs(n, 3)
-	runRounds := func(rounds int) func() {
-		return func() {
-			if _, err := NewEngine(WithIDs(ids)).Run(tr, tickAlg{rounds: rounds}); err != nil {
-				t.Fatal(err)
+	for name, opts := range map[string][]Option{
+		"seq":             nil,
+		"par2":            {WithParallelism(2)},
+		"shards2-range":   {WithShards(2), WithShardLayout(LayoutRange)},
+		"shards3-subtree": {WithShards(3), WithShardLayout(LayoutSubtree)},
+	} {
+		eng := NewEngine(append([]Option{WithIDs(ids)}, opts...)...)
+		runRounds := func(rounds int) func() {
+			return func() {
+				if _, err := eng.Run(tr, tickAlg{rounds: rounds}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	short := testing.AllocsPerRun(10, runRounds(shortR))
-	long := testing.AllocsPerRun(10, runRounds(longR))
-	// Generous slack for runtime noise; the seed engine churned O(n) boxed
-	// Terminated values per round, i.e. tens of thousands over this gap.
-	if churn := long - short; churn > 16 {
-		t.Fatalf("%.0f extra allocations over %d extra rounds; hot loop is churning",
-			churn, longR-shortR)
+		short := testing.AllocsPerRun(10, runRounds(shortR))
+		long := testing.AllocsPerRun(10, runRounds(longR))
+		churn := long - short
+		t.Logf("%s: %.0f extra allocations over %d extra rounds", name, churn, longR-shortR)
+		// Generous slack for runtime noise; the seed engine churned O(n) boxed
+		// Terminated values per round, i.e. tens of thousands over this gap.
+		if churn > 16 {
+			t.Fatalf("%s: %.0f extra allocations over %d extra rounds; hot loop is churning",
+				name, churn, longR-shortR)
+		}
 	}
 }
 

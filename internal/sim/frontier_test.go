@@ -222,6 +222,10 @@ func TestFrontierMatchesFullSweepOracle(t *testing.T) {
 			"shards2-subtree": NewEngine(WithIDs(ids), WithInputs(shape.deadlines), WithShards(2), WithShardLayout(LayoutSubtree)),
 			"shards3-subtree": NewEngine(WithIDs(ids), WithInputs(shape.deadlines), WithShards(3), WithShardLayout(LayoutSubtree)),
 			"shards7-subtree": NewEngine(WithIDs(ids), WithInputs(shape.deadlines), WithShards(7), WithShardLayout(LayoutSubtree)),
+			// WithParallelism is ignored under WithShards(k > 1): the shards
+			// are the units of concurrency.
+			"parallel4+shards3":         NewEngine(WithIDs(ids), WithInputs(shape.deadlines), WithParallelism(4), WithShards(3)),
+			"parallel4+shards3-subtree": NewEngine(WithIDs(ids), WithInputs(shape.deadlines), WithParallelism(4), WithShards(3), WithShardLayout(LayoutSubtree)),
 		}
 		for bname, eng := range backends {
 			got, err := eng.Run(shape.tree, probeAlg{})

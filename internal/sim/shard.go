@@ -1,51 +1,39 @@
 package sim
 
-// The sharded backend: one simulation partitioned into k contiguous
-// node-range shards that execute rounds independently and exchange only the
-// messages crossing shard boundaries through a shardBus at the round
-// barrier.
+// The sharded backend: WithShards(k) runs one simulation as k parts, each a
+// contiguous node range with its own machines, frontier, and message slots,
+// stepped by the same pull and step kernels as the unsharded backends. A
+// message from a node to a neighbor in the same part is written directly
+// into the neighbor's receive slot; a message to a node of another part is
+// written into a staging slot of the sending part and delivered by the bus
+// at the round barrier.
 //
-// Each shard owns the machines and message slots of its node range and
-// steps them exactly like the sequential backend — including its frontier:
-// each shard keeps the compact list of its not-yet-terminated nodes and a
-// round costs Θ(local frontier size), not Θ(shard size). Because the tree is
-// in CSR form, a contiguous node range [lo, hi) owns the contiguous
-// directed-edge slot range [off[lo], off[hi)) — a shard's entire message
-// state is two flat arrays covering that interval, and snapshotting or
-// shipping a shard is a pair of slice copies. A message from a local node
-// to a local neighbor is written directly into the neighbor's receive slot;
-// a message to a node of another shard is queued as a boundaryMsg
-// (addressed by global flat slot) and delivered by the bus at the barrier.
+// Frozen outputs of terminated nodes reach still-active local nodes by pull.
+// Frozen outputs of terminated boundary nodes cross the bus exactly once, as
+// a fill that the receiving part caches in remoteFrozen by local slot;
+// every later round the pull phase serves it from the cache at zero bus
+// cost — the same zero-cost convention the unsharded backends implement.
 //
-// Frozen outputs of terminated nodes reach still-active local nodes by pull:
-// before stepping, each frontier node fills its empty inbox slots from
-// terminated local neighbors (and from remoteFrozen, see below), so
-// terminated nodes cost nothing per round. Frozen outputs of terminated
-// boundary nodes cross the bus exactly once, as a fill message that the
-// receiving shard caches in remoteFrozen by local slot; every later round
-// the pull phase serves it from the cache at zero bus cost — the same
-// zero-cost convention the unsharded backends implement.
-//
-// Which nodes a shard owns is the engine's shard layout (WithShardLayout):
+// Which nodes a part owns is the engine's shard layout (WithShardLayout):
 // the range layout shards the construction numbering directly, while the
 // subtree layout relabels the tree by graph.Partition's fat preorder first,
-// so shard ranges align with subtrees and far fewer edges cross shards. A
-// layout only permutes indices — the machinery below always sees contiguous
-// ranges — and results are mapped back to construction numbering, so the
-// layout is invisible in everything but Result.Shards.
+// so part ranges align with subtrees and far fewer edges cross parts. A
+// layout only permutes indices — the kernels always see contiguous ranges —
+// and results are mapped back to construction numbering, so the layout is
+// invisible in everything but Result.Shards.
 //
 // Determinism: every receive slot has exactly one writer (the neighbor
 // behind the reverse edge, or the bus acting for it), and the pull phase
 // only fills slots that round's writers left empty, so delivery order never
 // affects what a machine observes, and Rounds, Outputs, TotalRounds,
 // Messages, and Steps are bit-identical to the sequential backend at every
-// shard count. The bus is the single seam through which a shard learns
-// anything about other shards' nodes, which is what makes it the attachment
+// shard count. The bus is the single seam through which a part learns
+// anything about other parts' nodes, which is what makes it the attachment
 // point for a future multi-process executor: replace the in-memory exchange
 // with a network transport and nothing else changes.
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -72,429 +60,94 @@ type ShardStats struct {
 	Steps int64 `json:"steps"`
 }
 
-// boundaryMsg is one unit of cross-shard traffic: a payload for the receive
-// slot `slot` (a global flat directed-edge index; the owning shard is
-// implied by the destination node dst). A fill message carries a terminated
-// node's frozen output; the receiving shard caches it in remoteFrozen and
-// its pull phase serves it into the slot whenever a round leaves the slot
-// empty (a real message — including one sent in the terminating round —
-// always takes precedence).
-type boundaryMsg struct {
-	dst     int
-	slot    int32
-	fill    bool
-	payload any
-}
-
-// shardPhase selects the work a shard executor performs at a barrier step.
-type shardPhase int
-
-const (
-	// phaseStep runs one synchronous round for the shard's frontier: the
-	// pull phase (frozen-output fills) followed by the machine steps.
-	phaseStep shardPhase = iota
-	// phaseFinish swaps the shard's receive/send buffers, completing the
-	// round after the bus exchange.
-	phaseFinish
-)
-
-type shardCmd struct {
-	phase shardPhase
-	round int
-}
-
-// shard is one contiguous node range [lo, hi) with private execution state.
-// Node-indexed slices (machines, done, frozen) use local offset v - lo;
-// message slots use local slot e - slotBase, where [slotBase, slotEnd) =
-// [off[lo], off[hi)) is the shard's contiguous global slot interval.
-type shard struct {
-	r         *shardRun
-	idx       int
-	lo, hi    int
-	slotBase  int32 // global flat slot of local slot 0 (= off[lo])
-	remaining int
-
-	machines []Machine
-	done     []bool
-	frozen   []any
-	inbox    []any // flat receive slots, len off[hi]-off[lo]
-	next     []any // flat send slots for the following round
-	// active is the shard's frontier: local offsets of its undecided nodes,
-	// ascending, compacted in place as nodes terminate.
-	active []int32
-	// remoteFrozen[ls] caches the frozen output of the terminated remote
-	// neighbor behind local receive slot ls, delivered once by a fill
-	// message; the pull phase serves it in every later round at zero bus
-	// cost. Allocated lazily on the first fill, so runs whose boundary
-	// nodes never terminate early pay nothing for it. nRemote counts the
-	// cached entries (with remaining it gates the pull phase: nothing to
-	// pull while both are at their initial values).
-	remoteFrozen []any
-	nRemote      int
-
-	// outbox[t] queues this round's boundary messages for shard t; the bus
-	// drains it at the barrier and the backing arrays are reused.
-	outbox [][]boundaryMsg
-
-	stats ShardStats
-	fins  int   // terminations this round, drained by the coordinator
-	msgs  int64 // sends this round, drained by the coordinator
-	steps int64 // machine steps this round, drained by the coordinator
-	err   error
-
-	cmd chan shardCmd
-	ack chan struct{}
-}
-
-// shardBus exchanges boundary messages between shards at the round barrier.
-// Delivery iterates destinations and sources in index order, but order is
-// immaterial for the results: each receive slot has a single writer, and
-// fill messages only populate the remoteFrozen cache.
-type shardBus struct {
-	shards []*shard
-}
-
-// exchange drains every shard's outboxes into the destination shards'
-// receive buffers. Real messages are written unconditionally (the slot's only
-// writer is the sender); fill messages land in the destination's
-// remoteFrozen cache, from which its pull phase redelivers locally.
-func (b *shardBus) exchange() {
-	for _, dst := range b.shards {
-		for _, src := range b.shards {
-			if src == dst {
-				continue
+// stage prepares a multi-part run's bus. Every edge slot e whose neighbor
+// lies in another part gets a staging slot past the 2M receive slots, and
+// dst[e] points there instead of at the receiver's slot rev[e]: the step
+// kernel writes a cross-part send into its own part's staging slot without
+// a branch, and the bus ships it at the barrier. stage lists each part's
+// cross-part slots, which also count its boundary edges, and returns the
+// number of staging slots.
+func (r *run) stage() int {
+	r.dst = slices.Clone(r.rev)
+	var cross []int32
+	for i := range r.parts {
+		p := &r.parts[i]
+		for e := r.off[p.lo]; e < r.off[p.hi]; e++ {
+			if w := r.nbrs[e]; w < p.lo || w >= p.hi {
+				r.dst[e] = int32(len(r.rev) + len(cross))
+				cross = append(cross, e)
+				p.stats.BoundaryEdges++
 			}
-			q := src.outbox[dst.idx]
-			for i := range q {
-				m := &q[i]
-				ls := m.slot - dst.slotBase
-				if !m.fill {
-					dst.next[ls] = m.payload
-					continue
+		}
+	}
+	staged := len(cross)
+	for i := range r.parts {
+		p := &r.parts[i]
+		p.cross, cross = cross[:p.stats.BoundaryEdges], cross[p.stats.BoundaryEdges:]
+	}
+	return staged
+}
+
+// exchange is the in-memory bus, run by the coordinator at the round
+// barrier. For every cross-part edge it moves this round's message, if
+// any, from the sender's staging slot into the receiver's slot, and once
+// the sender has terminated it delivers the sender's frozen output, once,
+// as a fill into the receiving part's remoteFrozen cache, from which that
+// part's pull phase serves it. A real message — including one sent in the
+// terminating round — takes precedence, because pull only fills empty
+// slots. Delivery order is immaterial: each receive slot has a single
+// writer, and fills only populate the cache.
+func (r *run) exchange() {
+	for i := range r.parts {
+		src := &r.parts[i]
+		for _, e := range src.cross {
+			to := r.rev[e]
+			if s := r.dst[e]; r.next[s] != nil {
+				r.next[to], r.next[s] = r.next[s], nil
+				src.stats.MessagesCrossed++
+			}
+			if u := r.nbrs[to]; r.done[u] {
+				rcv := &r.parts[r.owner[r.nbrs[e]]]
+				base := r.off[rcv.lo]
+				if rcv.remoteFrozen == nil {
+					rcv.remoteFrozen = make([]any, r.off[rcv.hi]-base)
 				}
-				if dst.remoteFrozen == nil {
-					dst.remoteFrozen = make([]any, len(dst.inbox))
-				}
-				if dst.remoteFrozen[ls] == nil {
-					dst.remoteFrozen[ls] = m.payload
-					dst.nRemote++
+				if rcv.remoteFrozen[to-base] == nil {
+					rcv.remoteFrozen[to-base] = r.frozen[u]
 				}
 			}
-			src.outbox[dst.idx] = q[:0]
 		}
 	}
 }
 
-// shardRun is the mutable state of one sharded execution. Under the subtree
-// layout every index here is an *execution* index: the run operates on a
-// relabeled tree in which each shard's nodes are contiguous, and orig maps
-// execution indices back to construction indices for everything the caller
-// observes (Rounds, Outputs, error messages).
-type shardRun struct {
-	t         *graph.Tree
-	alg       Algorithm
-	maxRounds int
-	owner     []int32 // owner[v] = shard index of execution node v
-	orig      []int32 // execution index -> construction index; nil = identity
-	shards    []*shard
-	bus       *shardBus
-	off       []int32 // CSR offsets (shared with the tree; read-only)
-	nbrs      []int32 // CSR neighbors
-	rev       []int32 // rev[e] = global flat slot of the reverse edge
-	res       *Result
-}
-
-// origNode maps an execution index back to its construction index.
-func (r *shardRun) origNode(v int) int {
-	if r.orig == nil {
-		return v
-	}
-	return int(r.orig[v])
-}
-
-// runSharded executes alg across k > 1 shards under the engine's layout.
-// IDs and inputs are already validated by Run.
-//
-// The range layout shards the construction numbering directly over the
-// balanced graph.RangeCuts split. The subtree layout first relabels the tree
-// by graph.Partition's fat preorder: node v of the construction occupies
+// relabel prepares a k-part run under the subtree layout. It relabels t by
+// graph.Partition's fat preorder: node v of the construction occupies
 // execution index perm[v], with its ID and input carried along, and the
-// contiguous-range machinery below applies verbatim to the relabeled
-// indices. Relabeling preserves every machine's observable world — the same
-// ID, degree, input, and per-port neighbor sequence — so the permuted run is
-// the same simulation step for step; results are mapped back through the
-// inverse permutation (origNode), making Rounds, Outputs, TotalRounds,
-// Messages, and Steps bit-identical across layouts. Only Result.Shards
-// differs: its BoundaryEdges/MessagesCrossed describe the layout actually
-// executed — the objective the partitioner minimizes.
-func (e *Engine) runSharded(t *graph.Tree, alg Algorithm, ids []uint64, maxRounds, k int) (*Result, error) {
-	n := t.N()
-	exec, inputs := t, e.inputs
-	var cuts []int32
-	var orig []int32
-	if e.layout == LayoutSubtree {
-		lay := graph.Partition(t, k)
-		cuts = lay.Cuts
-		if lay.Perm != nil {
-			exec = graph.PermuteTree(t, lay.Perm)
-			orig = lay.Inverse()
-			pids := make([]uint64, n)
-			for p := range pids {
-				pids[p] = ids[orig[p]]
-			}
-			ids = pids
-			if e.inputs != nil {
-				pin := make([]any, n)
-				for p := range pin {
-					pin[p] = e.inputs[orig[p]]
-				}
-				inputs = pin
-			}
-		}
-	} else {
-		cuts = graph.RangeCuts(n, k)
+// contiguous-range machinery applies verbatim to the relabeled indices.
+// Relabeling preserves every machine's observable world — the same ID,
+// degree, input, and per-port neighbor sequence — so the permuted run is the
+// same simulation step for step; results are mapped back through r.orig,
+// making Rounds, Outputs, TotalRounds, Messages, and Steps bit-identical
+// across layouts. Only Result.Shards differs: its BoundaryEdges and
+// MessagesCrossed describe the layout actually executed — the objective the
+// partitioner minimizes.
+func (r *run) relabel(t *graph.Tree, ids []uint64, inputs []any, k int) (*graph.Tree, []uint64, []any, []int32) {
+	lay := graph.Partition(t, k)
+	if lay.Perm == nil {
+		return t, ids, inputs, lay.Cuts
 	}
-	r := &shardRun{
-		t:         exec,
-		alg:       alg,
-		maxRounds: maxRounds,
-		owner:     (&graph.Layout{Cuts: cuts}).Owners(),
-		orig:      orig,
-		off:       exec.Offsets(),
-		nbrs:      exec.AdjacencyRaw(),
-		rev:       reverseSlots(exec),
-		res: &Result{
-			Rounds:  make([]int, n),
-			Outputs: make([]any, n),
-		},
-	}
-	for i := 0; i+1 < len(cuts); i++ {
-		lo, hi := int(cuts[i]), int(cuts[i+1])
-		if hi <= lo {
-			return nil, fmt.Errorf("sim: internal: empty shard %d in cuts %v (n=%d, k=%d)", i, cuts, n, k)
-		}
-		size := hi - lo
-		slots := int(r.off[hi] - r.off[lo])
-		sh := &shard{
-			r:         r,
-			idx:       i,
-			lo:        lo,
-			hi:        hi,
-			slotBase:  r.off[lo],
-			remaining: size,
-			machines:  make([]Machine, size),
-			done:      make([]bool, size),
-			frozen:    make([]any, size),
-			inbox:     make([]any, slots),
-			next:      make([]any, slots),
-			active:    make([]int32, size),
-			cmd:       make(chan shardCmd),
-			ack:       make(chan struct{}),
-		}
-		sh.stats = ShardStats{Shard: sh.idx, Nodes: size}
-		r.shards = append(r.shards, sh)
-	}
-	for _, sh := range r.shards {
-		sh.outbox = make([][]boundaryMsg, len(r.shards))
-		for v := sh.lo; v < sh.hi; v++ {
-			i := v - sh.lo
-			sh.active[i] = int32(i)
-			var input any
-			if inputs != nil {
-				input = inputs[v]
-			}
-			sh.machines[i] = alg.NewMachine(NodeInfo{
-				ID:     ids[v],
-				Degree: exec.Degree(v),
-				N:      n,
-				Input:  input,
-			})
-			for _, w := range exec.NeighborsRaw(v) {
-				if r.owner[w] != int32(sh.idx) {
-					sh.stats.BoundaryEdges++
-				}
-			}
-		}
-	}
-	r.bus = &shardBus{shards: r.shards}
-	return r.execute(e)
+	r.orig = lay.Inverse()
+	return graph.PermuteTree(t, lay.Perm), permute(ids, r.orig), permute(inputs, r.orig), lay.Cuts
 }
 
-// execute drives the round loop: step all shards (pull + machine steps),
-// exchange boundary messages, swap, until every node terminated. Shard
-// executors are persistent goroutines commanded phase by phase; the
-// coordinator owns the round barrier, the termination count, and the
-// cancellation checks.
-func (r *shardRun) execute(e *Engine) (*Result, error) {
-	for _, sh := range r.shards {
-		go sh.loop()
+// permute returns xs in execution order (nil stays nil).
+func permute[T any](xs []T, orig []int32) []T {
+	if xs == nil {
+		return nil
 	}
-	defer func() {
-		for _, sh := range r.shards {
-			close(sh.cmd)
-		}
-	}()
-	remaining := 0
-	for _, sh := range r.shards {
-		remaining += sh.remaining
+	out := make([]T, len(orig))
+	for p, v := range orig {
+		out[p] = xs[v]
 	}
-	for round := 0; ; round++ {
-		if remaining == 0 {
-			r.res.TotalRounds = round
-			r.res.Shards = make([]ShardStats, len(r.shards))
-			for i, sh := range r.shards {
-				r.res.Shards[i] = sh.stats
-			}
-			return r.res, nil
-		}
-		if round >= r.maxRounds {
-			return nil, fmt.Errorf("%w: algorithm %q, n=%d, limit=%d",
-				ErrRoundLimit, r.alg.Name(), r.t.N(), r.maxRounds)
-		}
-		if err := e.ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sim: algorithm %q canceled at round %d: %w",
-				r.alg.Name(), round, err)
-		}
-		r.barrier(shardCmd{phase: phaseStep, round: round})
-		// Drain per-round counters lowest shard first so the reported error
-		// is deterministic (the same node order the sequential backend
-		// observes failures in).
-		for _, sh := range r.shards {
-			if sh.err != nil {
-				return nil, sh.err
-			}
-			remaining -= sh.fins
-			r.res.Messages += sh.msgs
-			r.res.Steps += sh.steps
-			sh.stats.Steps += sh.steps
-			sh.fins, sh.msgs, sh.steps = 0, 0, 0
-		}
-		r.bus.exchange()
-		r.barrier(shardCmd{phase: phaseFinish})
-	}
-}
-
-// barrier broadcasts one phase command to every shard executor and waits for
-// all of them to finish it.
-func (r *shardRun) barrier(c shardCmd) {
-	for _, sh := range r.shards {
-		sh.cmd <- c
-	}
-	for _, sh := range r.shards {
-		<-sh.ack
-	}
-}
-
-// loop is the shard's executor goroutine: it performs one phase per command
-// until the coordinator closes the channel.
-func (sh *shard) loop() {
-	for c := range sh.cmd {
-		switch c.phase {
-		case phaseStep:
-			sh.step(c.round)
-		case phaseFinish:
-			sh.inbox, sh.next = sh.next, sh.inbox
-		}
-		sh.ack <- struct{}{}
-	}
-}
-
-// step runs one round for the shard's frontier: the sharded counterpart of
-// pullRange + stepRange, with sends to remote nodes diverted into the
-// outboxes instead of written directly. The pull loop completes before any
-// machine steps, so a node terminating this round becomes visible to its
-// local neighbors only from the next round on — exactly the sequential
-// backend's phase order. Both loops touch only shard-private state between
-// barriers, so pull and step can share one phase.
-func (sh *shard) step(round int) {
-	if len(sh.active) == 0 {
-		return
-	}
-	sh.stats.ActiveRounds++
-	r := sh.r
-	off, nbrs, rev := r.off, r.nbrs, r.rev
-	if sh.remaining < sh.stats.Nodes || sh.nRemote > 0 {
-		for _, li := range sh.active {
-			v := sh.lo + int(li)
-			for e := off[v]; e < off[v+1]; e++ {
-				ls := e - sh.slotBase
-				if sh.inbox[ls] != nil {
-					continue
-				}
-				if sh.nRemote > 0 {
-					if fz := sh.remoteFrozen[ls]; fz != nil {
-						sh.inbox[ls] = fz
-						continue
-					}
-				}
-				if u := int(nbrs[e]); r.owner[u] == int32(sh.idx) && sh.done[u-sh.lo] {
-					sh.inbox[ls] = sh.frozen[u-sh.lo]
-				}
-			}
-		}
-	}
-	keep := 0
-	for _, li := range sh.active {
-		i := int(li)
-		v := sh.lo + i
-		base, end := off[v], off[v+1]
-		recv := sh.inbox[base-sh.slotBase : end-sh.slotBase : end-sh.slotBase]
-		send, fin := sh.machines[i].Step(round, recv)
-		sh.steps++
-		deg := int(end - base)
-		for p := deg; p < len(send); p++ {
-			if send[p] != nil {
-				sh.err = fmt.Errorf("%w: algorithm %q node %d port %d degree %d",
-					ErrBadPort, r.alg.Name(), r.origNode(v), p, deg)
-				return
-			}
-		}
-		for p := 0; p < len(send) && p < deg; p++ {
-			if send[p] == nil {
-				continue
-			}
-			e := int(base) + p
-			sh.msgs++
-			if t := int(r.owner[nbrs[e]]); t != sh.idx {
-				sh.outbox[t] = append(sh.outbox[t],
-					boundaryMsg{dst: int(nbrs[e]), slot: rev[e], payload: send[p]})
-				sh.stats.MessagesCrossed++
-			} else {
-				sh.next[rev[e]-sh.slotBase] = send[p]
-			}
-		}
-		// Clear only after the sends are copied out: a machine may return its
-		// recv slice as send (the boundary queue holds interface copies, so
-		// queued payloads survive the clear).
-		clearAny(recv)
-		if !fin {
-			sh.active[keep] = li
-			keep++
-			continue
-		}
-		sh.done[i] = true
-		sh.remaining--
-		sh.fins++
-		r.res.Rounds[r.origNode(v)] = round
-		out := sh.machines[i].Output()
-		if out == nil {
-			sh.err = fmt.Errorf("%w: algorithm %q node %d",
-				ErrNilOutput, r.alg.Name(), r.origNode(v))
-			return
-		}
-		r.res.Outputs[r.origNode(v)] = out
-		sh.frozen[i] = Terminated{Output: out}
-		// Local neighbors observe the frozen output by pulling it from the
-		// next round on; a real message sent in the terminating round stays
-		// in its slot and takes precedence. Cross-shard ports ship the frozen
-		// value once as a fill message (after any real send queued above) for
-		// the remote shard's remoteFrozen cache.
-		for e := base; e < end; e++ {
-			if t := int(r.owner[nbrs[e]]); t != sh.idx {
-				sh.outbox[t] = append(sh.outbox[t],
-					boundaryMsg{dst: int(nbrs[e]), slot: rev[e], fill: true, payload: sh.frozen[i]})
-			}
-		}
-	}
-	sh.active = sh.active[:keep]
+	return out
 }

@@ -322,6 +322,15 @@ func TestShardStats(t *testing.T) {
 	if !reflect.DeepEqual(res.Shards, want) {
 		t.Fatalf("Shards = %+v, want %+v", res.Shards, want)
 	}
+	// WithParallelism is ignored under WithShards(k > 1), so it must not
+	// change the per-shard accounting.
+	res, err = NewEngine(WithIDs(DefaultIDs(n, 1)), WithParallelism(4), WithShards(2)).Run(tr, tickAlg{rounds: rounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Shards, want) {
+		t.Fatalf("WithParallelism(4): Shards = %+v, want %+v", res.Shards, want)
+	}
 	// Unsharded runs must not report shard statistics.
 	res, err = NewEngine(WithIDs(DefaultIDs(n, 1))).Run(tr, tickAlg{rounds: rounds})
 	if err != nil {

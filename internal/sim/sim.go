@@ -20,15 +20,18 @@
 //
 // Executions run through an Engine configured by functional options
 // (NewEngine, WithIDs, WithInputs, WithMaxRounds, WithContext,
-// WithParallelism, WithShards). Three backends share one semantics:
+// WithParallelism, WithShards). Three backends share one pull kernel, one
+// step kernel, and one round loop:
 //
-//   - sequential: one goroutine steps all nodes in index order;
-//   - parallel (WithParallelism): the nodes of each round are stepped
-//     across a worker pool behind the synchronous-round barrier;
+//   - sequential: one part over all nodes, stepped inline in index order;
+//   - parallel (WithParallelism): the same part, with each round's
+//     frontier cut into contiguous chunks stepped on persistent goroutines
+//     behind the synchronous-round barrier;
 //   - sharded (WithShards): the tree is partitioned into contiguous
-//     node-range shards with private machines and message buffers,
-//     exchanging only cross-shard boundary messages through an in-memory
-//     bus between rounds (the seam a multi-process executor plugs into).
+//     node-range parts, each with its own machines, frontier, and message
+//     slots, stepped one goroutine per part and exchanging only cross-part
+//     boundary messages through an in-memory bus between rounds (the seam a
+//     multi-process executor plugs into).
 //
 // All three produce bit-identical Rounds, Outputs, TotalRounds, and
 // Messages for the same IDs and inputs; sharded runs additionally report
@@ -115,11 +118,44 @@ type Terminated struct {
 	Output any
 }
 
+// Rounds is a round trace: Rounds[v] is T_v, the round in which node v
+// terminated (a node that terminates before sending or receiving anything
+// has T_v = 0). The simulator and the central solvers all report one, so
+// every execution is measured the same way.
+type Rounds []int
+
+// NodeAveraged returns (1/n) * sum_v T_v, the node-averaged complexity of
+// the execution (0 for an empty trace).
+func (r Rounds) NodeAveraged() float64 {
+	if len(r) == 0 {
+		return 0
+	}
+	return float64(r.SumRounds()) / float64(len(r))
+}
+
+// SumRounds returns sum_v T_v.
+func (r Rounds) SumRounds() int64 {
+	var sum int64
+	for _, t := range r {
+		sum += int64(t)
+	}
+	return sum
+}
+
+// MaxRounds returns the worst-case round count max_v T_v (0 for an empty
+// trace).
+func (r Rounds) MaxRounds() int {
+	m := 0
+	for _, t := range r {
+		m = max(m, t)
+	}
+	return m
+}
+
 // Result captures an execution of an algorithm on a graph.
 type Result struct {
-	// Rounds[v] is T_v, the round in which node v terminated (a node that
-	// terminates before sending or receiving anything has T_v = 0).
-	Rounds []int
+	// Rounds[v] is T_v, the round in which node v terminated.
+	Rounds
 	// Outputs[v] is node v's output.
 	Outputs []any
 	// TotalRounds is the worst-case round count max_v T_v.
@@ -138,27 +174,6 @@ type Result struct {
 	// TotalRounds, and Messages are bit-identical across all shard counts —
 	// only this field distinguishes a sharded result.
 	Shards []ShardStats
-}
-
-// NodeAveraged returns (1/n) * sum_v T_v.
-func (r *Result) NodeAveraged() float64 {
-	if len(r.Rounds) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, t := range r.Rounds {
-		sum += int64(t)
-	}
-	return float64(sum) / float64(len(r.Rounds))
-}
-
-// SumRounds returns sum_v T_v.
-func (r *Result) SumRounds() int64 {
-	var sum int64
-	for _, t := range r.Rounds {
-		sum += int64(t)
-	}
-	return sum
 }
 
 func clearAny(xs []any) {

@@ -8,36 +8,14 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hierarchy"
 	"repro/internal/landscape"
+	"repro/internal/sim"
 )
 
 // Result is an execution of a weighted-problem algorithm: per-node outputs
 // and termination rounds.
 type Result struct {
-	Out    []Output
-	Rounds []int
-}
-
-// NodeAveraged returns (1/n) Σ_v T_v.
-func (r *Result) NodeAveraged() float64 {
-	if len(r.Rounds) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, t := range r.Rounds {
-		sum += int64(t)
-	}
-	return float64(sum) / float64(len(r.Rounds))
-}
-
-// MaxRounds returns the worst-case round count.
-func (r *Result) MaxRounds() int {
-	max := 0
-	for _, t := range r.Rounds {
-		if t > max {
-			max = t
-		}
-	}
-	return max
+	Out []Output
+	sim.Rounds
 }
 
 // SolvePoly runs A_poly (Section 7.1) for Π^{2.5}_{Δ,d,k}: active components
