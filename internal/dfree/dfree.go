@@ -21,9 +21,11 @@
 package dfree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -131,11 +133,12 @@ func Solve(t *graph.Tree, inputs []Input, d int) (*Solution, error) {
 
 	// Step 2: around each remaining A-node, run the greedy 𝒜* on its
 	// radius-(r+1) ball.
+	var ball ballScratch
 	for v := 0; v < n; v++ {
 		if inputs[v] != InputA || sol.Out[v] == OutConnect {
 			continue
 		}
-		copySet := greedyCopySet(t, v, r, d)
+		copySet := ball.greedyCopySet(t, v, r, d)
 		for _, u := range copySet {
 			if sol.Out[u] == OutConnect {
 				// Cannot happen: Connect regions and remaining A-balls are
@@ -278,75 +281,77 @@ func bfsOrder(t *graph.Tree, root int, parent []int) []int {
 	return order
 }
 
+// ballScratch holds greedyCopySet's radius-(r+1) ball in flat arrays
+// indexed by BFS position. A node's children are contiguous in BFS order,
+// so the children of position i are positions first[i]..first[i+1]-1. Solve
+// reuses one scratch for every A-node.
+type ballScratch struct {
+	node   []int32 // node[i] is the tree node at BFS position i
+	parent []int32 // parent[i] is the tree node of i's parent (-1 at the root)
+	depth  []int32
+	first  []int32
+	size   []int32 // subtree size, truncated at the ball boundary
+	copies []int32 // the BFS positions of the Copy set, in greedy order
+	kids   []int32 // one Copy node's children, sorted heaviest first
+}
+
 // greedyCopySet runs 𝒜* (proof of Lemma 37) on the radius-(r+1) ball around
 // root: root is Copy; every Copy node declines its min(budget, #children)
 // heaviest children (whole subtrees), where budget is d for the root and d
 // (of at most Δ−1 children) below; the remaining children copy. The returned
 // set is the Copy component containing root, always within radius r.
-func greedyCopySet(t *graph.Tree, root, r, d int) []int {
-	// Collect the ball of radius r+1 with parent pointers and subtree sizes
-	// truncated at the ball boundary.
-	type nodeInfo struct {
-		depth    int
-		parent   int
-		children []int
-		size     int
-	}
-	info := map[int]*nodeInfo{root: {depth: 0, parent: -1}}
-	order := []int{root}
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		iv := info[v]
-		if iv.depth == r+1 {
+func (s *ballScratch) greedyCopySet(t *graph.Tree, root, r, d int) []int {
+	// Collect the ball of radius r+1 in BFS order with parent pointers.
+	s.node = append(s.node[:0], int32(root))
+	s.parent = append(s.parent[:0], -1)
+	s.depth = append(s.depth[:0], 0)
+	s.first = s.first[:0]
+	for i := 0; i < len(s.node); i++ {
+		s.first = append(s.first, int32(len(s.node)))
+		if int(s.depth[i]) == r+1 {
 			continue
 		}
-		for _, w := range t.NeighborsRaw(v) {
-			u := int(w)
-			if u == iv.parent {
+		v := s.node[i]
+		for _, u := range t.NeighborsRaw(int(v)) {
+			if u == s.parent[i] {
 				continue
 			}
-			if _, ok := info[u]; ok {
-				continue
-			}
-			info[u] = &nodeInfo{depth: iv.depth + 1, parent: v}
-			iv.children = append(iv.children, u)
-			order = append(order, u)
-			queue = append(queue, u)
+			s.node = append(s.node, u)
+			s.parent = append(s.parent, v)
+			s.depth = append(s.depth, s.depth[i]+1)
 		}
 	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		iv := info[v]
-		iv.size = 1
-		for _, c := range iv.children {
-			iv.size += info[c].size
+	s.first = append(s.first, int32(len(s.node)))
+	// Subtree sizes truncated at the ball boundary, children before parents.
+	s.size = slices.Grow(s.size[:0], len(s.node))[:len(s.node)]
+	for i := len(s.node) - 1; i >= 0; i-- {
+		size := int32(1)
+		for _, c := range s.size[s.first[i]:s.first[i+1]] {
+			size += c
 		}
+		s.size[i] = size
 	}
-	// Greedy descent.
-	copySet := []int{root}
-	frontier := []int{root}
-	for len(frontier) > 0 {
-		v := frontier[0]
-		frontier = frontier[1:]
-		iv := info[v]
-		if iv.depth >= r {
+	// Greedy descent; copies doubles as the BFS queue of Copy nodes.
+	s.copies = append(s.copies[:0], 0)
+	for q := 0; q < len(s.copies); q++ {
+		i := s.copies[q]
+		if int(s.depth[i]) >= r {
 			// Children would be at depth r+1 ∈ Û\U and must decline; the
 			// subtree-size argument of Lemma 37 guarantees Copy never needs
 			// to extend this deep, so simply stop.
 			continue
 		}
-		kids := append([]int(nil), iv.children...)
-		sort.Slice(kids, func(a, b int) bool { return info[kids[a]].size > info[kids[b]].size })
-		declines := d
-		if declines > len(kids) {
-			declines = len(kids)
+		s.kids = s.kids[:0]
+		for c := s.first[i]; c < s.first[i+1]; c++ {
+			s.kids = append(s.kids, c)
 		}
-		for _, c := range kids[declines:] {
-			copySet = append(copySet, c)
-			frontier = append(frontier, c)
-		}
+		slices.SortFunc(s.kids, func(a, b int32) int { return cmp.Compare(s.size[b], s.size[a]) })
+		declines := min(d, len(s.kids))
+		s.copies = append(s.copies, s.kids[declines:]...)
+	}
+	copySet := make([]int, len(s.copies))
+	for q, i := range s.copies {
+		copySet[q] = int(s.node[i])
 	}
 	return copySet
 }

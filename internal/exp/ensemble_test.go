@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/inst"
 )
 
 // TestVerifiedColors checks the coloring gate that the Linial ensembles and
@@ -37,5 +39,35 @@ func TestVerifiedColors(t *testing.T) {
 		if _, err := verifiedColors(tr, tc.outputs); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestEnsembleSamplesLeaveNoCacheEntries: every ensemble task draws a fresh
+// seed, so its sample is built per request and never cached. Twenty runs of
+// the quick GW ensemble at fresh seeds build 20 × 4 samples and leave the
+// shared instance cache no galtonwatson entry.
+func TestEnsembleSamplesLeaveNoCacheEntries(t *testing.T) {
+	e, ok := Lookup("ensemble-gw-linial")
+	if !ok {
+		t.Fatal("ensemble-gw-linial not registered")
+	}
+	before := InstanceCache().Stats()
+	for i := 0; i < 20; i++ {
+		cfg := RunConfig{Preset: PresetQuick, Seed: uint64(9000 + i)}
+		if _, err := RunBatch(context.Background(), []*Experiment{e}, BatchOptions{Jobs: 1, Config: cfg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := InstanceCache().Stats()
+	gw := after.Kinds[inst.KindGW]
+	if d := gw.Builds - before.Kinds[inst.KindGW].Builds; d != 80 {
+		t.Fatalf("%d galtonwatson builds, want 80", d)
+	}
+	if gw.Entries != 0 || gw.Nodes != 0 {
+		t.Fatalf("galtonwatson occupancy %d entries / %d nodes, want 0/0", gw.Entries, gw.Nodes)
+	}
+	if after.Entries != before.Entries || after.Nodes != before.Nodes {
+		t.Fatalf("cache grew from %d entries / %d nodes to %d / %d",
+			before.Entries, before.Nodes, after.Entries, after.Nodes)
 	}
 }

@@ -59,24 +59,6 @@ type Tree struct {
 	maxDeg int     // cached max degree (computed once at construction)
 }
 
-// newCSR flattens per-node adjacency lists into CSR form. It does not
-// validate; Build does.
-func newCSR(adj [][]int32, m int) *Tree {
-	n := len(adj)
-	off := make([]int32, n+1)
-	nbr := make([]int32, 0, 2*m)
-	maxDeg := 0
-	for v, a := range adj {
-		off[v] = int32(len(nbr))
-		nbr = append(nbr, a...)
-		if len(a) > maxDeg {
-			maxDeg = len(a)
-		}
-	}
-	off[n] = int32(len(nbr))
-	return &Tree{off: off, nbr: nbr, m: m, maxDeg: maxDeg}
-}
-
 // N returns the number of nodes.
 func (t *Tree) N() int { return len(t.off) - 1 }
 
@@ -228,26 +210,33 @@ func (t *Tree) Validate() error {
 	if t.m != n-1 {
 		return fmt.Errorf("%w: %d nodes but %d edges", ErrNotATree, n, t.m)
 	}
-	seen := 0
-	for _, d := range t.BFS(0) {
-		if d >= 0 {
-			seen++
+	// mark[v] is 1 once the BFS from node 0 reaches v; the duplicate scan
+	// then stamps every neighbor of v with v+2, so one array serves both
+	// passes.
+	mark := make([]int32, n)
+	queue := make([]int32, 1, n)
+	mark[0] = 1
+	for i := 0; i < len(queue); i++ {
+		for _, w := range t.NeighborsRaw(int(queue[i])) {
+			if mark[w] == 0 {
+				mark[w] = 1
+				queue = append(queue, w)
+			}
 		}
 	}
-	if seen != n {
-		return fmt.Errorf("%w: BFS reached %d of %d nodes", ErrNotConnected, seen, n)
+	if len(queue) != n {
+		return fmt.Errorf("%w: BFS reached %d of %d nodes", ErrNotConnected, len(queue), n)
 	}
 	for v := 0; v < n; v++ {
-		nbs := t.NeighborsRaw(v)
-		mark := make(map[int32]bool, len(nbs))
-		for _, w := range nbs {
+		stamp := int32(v) + 2
+		for _, w := range t.NeighborsRaw(v) {
 			if int(w) == v {
 				return fmt.Errorf("%w at node %d", ErrSelfLoop, v)
 			}
-			if mark[w] {
+			if mark[w] == stamp {
 				return fmt.Errorf("%w: {%d,%d}", ErrDuplicateEdge, v, w)
 			}
-			mark[w] = true
+			mark[w] = stamp
 		}
 	}
 	return nil
@@ -263,49 +252,46 @@ func argmax(xs []int) int {
 	return best
 }
 
-// Builder incrementally constructs a Tree. Adjacency is accumulated as
-// per-node lists and flattened into the immutable CSR layout by Build.
+// Builder incrementally constructs a Tree. It records nodes as a count and
+// edges as one insertion-ordered list; Build counting-sorts that list into
+// the immutable CSR layout, so port p of v is the p-th edge added at v.
 type Builder struct {
-	adj [][]int32
-	m   int
+	n     int
+	edges []int32 // edge i is {edges[2i], edges[2i+1]}, in insertion order
 }
 
 // NewBuilder returns a Builder with capacity hints for n nodes.
 func NewBuilder(n int) *Builder {
-	return &Builder{adj: make([][]int32, 0, n)}
+	return &Builder{edges: make([]int32, 0, 2*max(n-1, 0))}
 }
 
 // AddNode appends a new isolated node and returns its index.
 func (b *Builder) AddNode() int {
-	b.adj = append(b.adj, nil)
-	return len(b.adj) - 1
+	b.n++
+	return b.n - 1
 }
 
 // AddNodes appends k new isolated nodes and returns the index of the first.
 func (b *Builder) AddNodes(k int) int {
-	first := len(b.adj)
-	for i := 0; i < k; i++ {
-		b.adj = append(b.adj, nil)
-	}
+	first := b.n
+	b.n += max(k, 0)
 	return first
 }
 
 // AddEdge connects u and v. It does not check for cycles; Build does.
 func (b *Builder) AddEdge(u, v int) error {
-	if u < 0 || v < 0 || u >= len(b.adj) || v >= len(b.adj) {
-		return fmt.Errorf("%w: edge {%d,%d} with %d nodes", ErrNodeRange, u, v, len(b.adj))
+	if u < 0 || v < 0 || u >= b.n || v >= b.n {
+		return fmt.Errorf("%w: edge {%d,%d} with %d nodes", ErrNodeRange, u, v, b.n)
 	}
 	if u == v {
 		return fmt.Errorf("%w: node %d", ErrSelfLoop, u)
 	}
-	b.adj[u] = append(b.adj[u], int32(v))
-	b.adj[v] = append(b.adj[v], int32(u))
-	b.m++
+	b.edges = append(b.edges, int32(u), int32(v))
 	return nil
 }
 
 // N returns the current number of nodes in the builder.
-func (b *Builder) N() int { return len(b.adj) }
+func (b *Builder) N() int { return b.n }
 
 // AttachPath appends a fresh path of length pathLen (pathLen new nodes) and
 // connects its first node to the existing node at. It returns the indices of
@@ -330,10 +316,34 @@ func (b *Builder) AttachPath(at, pathLen int) ([]int, error) {
 	return nodes, nil
 }
 
-// Build finalizes the tree: flattens the adjacency into CSR form and
+// Build finalizes the tree: counting-sorts the edge list into CSR form and
 // validates the structural invariants.
 func (b *Builder) Build() (*Tree, error) {
-	t := newCSR(b.adj, b.m)
+	n := b.n
+	off := make([]int32, n+1)
+	for _, v := range b.edges {
+		off[v]++
+	}
+	// Inclusive prefix sums leave off[v] at the end of v's row; the
+	// backwards fill below walks each row from its end, so after it off[v]
+	// is the row's start and each row holds its edges in insertion order.
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, int(off[v]))
+		if v > 0 {
+			off[v] += off[v-1]
+		}
+	}
+	off[n] = int32(len(b.edges))
+	nbr := make([]int32, len(b.edges))
+	for i := len(b.edges) - 2; i >= 0; i -= 2 {
+		u, v := b.edges[i], b.edges[i+1]
+		off[u]--
+		nbr[off[u]] = v
+		off[v]--
+		nbr[off[v]] = u
+	}
+	t := &Tree{off: off, nbr: nbr, m: len(b.edges) / 2, maxDeg: maxDeg}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}

@@ -311,14 +311,19 @@ func pos(perm []int32, v int) int32 {
 // identical per-port message sequences at every node.
 func PermuteTree(t *Tree, perm []int32) *Tree {
 	n := t.N()
-	adj := make([][]int32, n)
+	off := make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		raw := t.NeighborsRaw(v)
-		row := make([]int32, len(raw))
-		for i, w := range raw {
+		off[perm[v]+1] = t.off[v+1] - t.off[v]
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	nbr := make([]int32, len(t.nbr))
+	for v := 0; v < n; v++ {
+		row := nbr[off[perm[v]]:]
+		for i, w := range t.NeighborsRaw(v) {
 			row[i] = perm[w]
 		}
-		adj[perm[v]] = row
 	}
-	return newCSR(adj, t.M())
+	return &Tree{off: off, nbr: nbr, m: t.m, maxDeg: t.maxDeg}
 }

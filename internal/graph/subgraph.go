@@ -6,69 +6,105 @@ type Component struct {
 	Tree *Tree
 	// Nodes maps component indices back to indices of the parent graph.
 	Nodes []int
-	// index maps parent-graph indices to component indices (sized to the
-	// component, not the parent graph).
-	index map[int]int
+	// id is this component's position in its InducedComponents call;
+	// owner[v] == id marks the parent-graph nodes in this component and
+	// local[v] is then v's component index. Every Component of one call
+	// shares the same owner and local arrays (sized to the parent graph).
+	id    int32
+	owner []int32
+	local []int32
 }
 
 // IndexOf returns the component index of a parent-graph node, or -1 if the
 // node is not part of the component.
 func (c *Component) IndexOf(parent int) int {
-	if i, ok := c.index[parent]; ok {
-		return i
+	if parent < 0 || parent >= len(c.owner) || c.owner[parent] != c.id {
+		return -1
 	}
-	return -1
+	return int(c.local[parent])
 }
 
 // InducedComponents returns the connected components of the subgraph of t
-// induced by the nodes with mask[v] == true.
+// induced by the nodes with mask[v] == true, in order of their
+// lowest-indexed node. Each component's nodes are indexed in BFS order from
+// that node, and its port order is fixed: a node's BFS parent is port 0
+// (the root has none), followed by its other in-mask neighbors in the
+// parent graph's port order. Solvers that run on a component see this
+// order, so it is part of the contract.
 func InducedComponents(t *Tree, mask []bool) []*Component {
 	n := t.N()
-	seen := make([]bool, n)
-	var comps []*Component
+	owner := make([]int32, n)
+	local := make([]int32, n)
+	masked := 0
+	for v := range owner {
+		owner[v] = -1
+		if mask[v] {
+			masked++
+		}
+	}
+	// Label the components: order holds every component's nodes in BFS
+	// order, back to back, and starts[c] is where component c begins.
+	order := make([]int, 0, masked)
+	var starts []int
 	for s := 0; s < n; s++ {
-		if !mask[s] || seen[s] {
+		if !mask[s] || owner[s] >= 0 {
 			continue
 		}
-		// BFS within the mask.
-		var nodes []int
-		seen[s] = true
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			nodes = append(nodes, v)
-			for _, w := range t.NeighborsRaw(v) {
-				u := int(w)
-				if mask[u] && !seen[u] {
-					seen[u] = true
-					queue = append(queue, u)
+		id := int32(len(starts))
+		starts = append(starts, len(order))
+		owner[s], local[s] = id, 0
+		order = append(order, s)
+		for head := len(order) - 1; head < len(order); head++ {
+			for _, w := range t.NeighborsRaw(order[head]) {
+				if mask[w] && owner[w] < 0 {
+					owner[w], local[w] = id, int32(len(order)-starts[id])
+					order = append(order, int(w))
 				}
 			}
 		}
-		index := make(map[int]int, len(nodes))
-		for i, v := range nodes {
-			index[v] = i
+	}
+	// Write each component's CSR into slices of two shared arrays: component
+	// c with nodes order[a:b] owns offsets offAll[a+c : b+c+1] and, having
+	// b-a-1 edges, neighbors nbrAll[2(a-c) : 2(b-c-1)].
+	k := len(starts)
+	offAll := make([]int32, masked+k)
+	nbrAll := make([]int32, 2*(masked-k))
+	comps := make([]*Component, k)
+	for c := range comps {
+		a, b := starts[c], masked
+		if c+1 < k {
+			b = starts[c+1]
 		}
-		b := NewBuilder(len(nodes))
-		b.AddNodes(len(nodes))
-		for i, v := range nodes {
+		off := offAll[a+c : b+c+1 : b+c+1]
+		nbr := nbrAll[2*(a-c) : 2*(b-c-1) : 2*(b-c-1)]
+		maxDeg := 0
+		for i, v := range order[a:b] {
+			// Slot off[i] is the BFS parent's: the parent is the only
+			// in-mask neighbor with a smaller component index.
+			next := off[i]
+			if i > 0 {
+				next++
+			}
 			for _, w := range t.NeighborsRaw(v) {
-				u := int(w)
-				if j, ok := index[u]; ok && mask[u] && j > i {
-					if err := b.AddEdge(i, j); err != nil {
-						// Unreachable: indices are in range and distinct.
-						panic(err)
-					}
+				if !mask[w] {
+					continue
+				}
+				if j := local[w]; j < int32(i) {
+					nbr[off[i]] = j
+				} else {
+					nbr[next] = j
+					next++
 				}
 			}
+			off[i+1] = next
+			maxDeg = max(maxDeg, int(next-off[i]))
 		}
-		tree, err := b.Build()
-		if err != nil {
+		tree := &Tree{off: off, nbr: nbr, m: b - a - 1, maxDeg: maxDeg}
+		if err := tree.Validate(); err != nil {
 			// Unreachable: an induced connected subgraph of a tree is a tree.
 			panic(err)
 		}
-		comps = append(comps, &Component{Tree: tree, Nodes: nodes, index: index})
+		comps[c] = &Component{Tree: tree, Nodes: order[a:b:b], id: int32(c), owner: owner, local: local}
 	}
 	return comps
 }

@@ -12,6 +12,13 @@
 // once. Entries are evicted least-recently-used once the total cached node
 // count exceeds the bound.
 //
+// Seeded random samples (the galtonwatson and ladder kinds) are the
+// exception: an ensemble draws a fresh seed for every task, so no later
+// request repeats a sample's key, and keeping samples would only fill the
+// LRU with single-use trees. They are built once per request and never
+// cached; concurrent requests for one sample key are still coalesced into
+// one build, and every build is counted.
+//
 // Beyond the bare trees, the cache holds keyed *composite* entries: the
 // Definition-25 weighted instances (tree + Active/Weight inputs,
 // weighted.BuildInstance) and the Section-10 weight-augmented instances
@@ -128,6 +135,10 @@ func (k Key) Core() Key {
 	}
 	return k
 }
+
+// sampled reports whether k names one seeded random sample, which the
+// cache builds per request instead of keeping (see the package doc).
+func (k Key) sampled() bool { return k.Kind == KindGW || k.Kind == KindLadder }
 
 // PathKey is the cache key for graph.BuildPath(n).
 func PathKey(n int) Key { return Key{Kind: KindPath, A: n} }
@@ -372,10 +383,10 @@ func (c *Cache) Aug(k, delta int, lengths []int, budget int) (*labeling.AugInsta
 	return v.(*labeling.AugInstance), nil
 }
 
-// GaltonWatson returns the cached Galton-Watson sample for
-// (n, maxChildren, seed), building it on first request. The sample is a
-// pure function of its key (see graph.BuildGaltonWatson), so cache sharing
-// never mixes distinct ensemble members.
+// GaltonWatson returns the Galton-Watson sample for (n, maxChildren, seed).
+// The sample is a pure function of its key (see graph.BuildGaltonWatson);
+// it is built per request and not cached (see the package doc), and
+// concurrent requests for one key share one build.
 func (c *Cache) GaltonWatson(n, maxChildren int, seed uint64) (*graph.Tree, error) {
 	v, err := c.get(GWKey(n, maxChildren, seed), func() (any, int64, error) {
 		t, err := graph.BuildGaltonWatson(n, maxChildren, seed)
@@ -390,8 +401,8 @@ func (c *Cache) GaltonWatson(n, maxChildren int, seed uint64) (*graph.Tree, erro
 	return v.(*graph.Tree), nil
 }
 
-// Ladder returns the cached ladder-tree sample for (n, seed), building it on
-// first request (see graph.BuildLadder).
+// Ladder returns the ladder-tree sample for (n, seed) (see
+// graph.BuildLadder), built per request like GaltonWatson's samples.
 func (c *Cache) Ladder(n int, seed uint64) (*graph.Tree, error) {
 	v, err := c.get(LadderKey(n, seed), func() (any, int64, error) {
 		t, err := graph.BuildLadder(n, seed)
@@ -408,7 +419,7 @@ func (c *Cache) Ladder(n int, seed uint64) (*graph.Tree, error) {
 
 // get serves key from the cache, joining an in-flight build or invoking
 // build exactly once on a cold key. Build errors are returned to every
-// waiter and are not cached.
+// waiter and are not cached, and neither are seeded samples.
 func (c *Cache) get(key Key, build func() (any, int64, error)) (any, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -441,7 +452,7 @@ func (c *Cache) get(key Key, build func() (any, int64, error)) (any, error) {
 	ks := c.kindLocked(key.Kind)
 	ks.Builds++
 	ks.BuildTime += elapsed
-	if err == nil {
+	if err == nil && !key.sampled() {
 		c.insertLocked(key, val, nodes)
 	}
 	c.mu.Unlock()

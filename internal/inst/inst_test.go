@@ -3,6 +3,7 @@ package inst
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -390,5 +391,78 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s, back) {
 		t.Fatalf("stats did not round-trip:\n%+v\nvs\n%+v", s, back)
+	}
+}
+
+// TestSeededSamplesAreNotCached: a seeded sample is built per request and
+// leaves no entry, yet two concurrent requests for one sample key still
+// share one build. The first request's build blocks until the second has
+// joined the flight.
+func TestSeededSamplesAreNotCached(t *testing.T) {
+	c := New(0)
+	if _, err := c.Ladder(40, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ladder(40, 3); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Stats()
+	if ks := s.Kinds[KindLadder]; ks.Builds != 2 || ks.Hits != 0 || ks.Entries != 0 || ks.Nodes != 0 {
+		t.Fatalf("ladder stats = %+v, want 2 builds and nothing cached", ks)
+	}
+
+	key := GWKey(300, 4, 9)
+	started, release := make(chan struct{}), make(chan struct{})
+	trees := make([]*graph.Tree, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		v, err := c.get(key, func() (any, int64, error) {
+			close(started)
+			<-release
+			tr, err := graph.BuildGaltonWatson(300, 4, 9)
+			return tr, 300, err
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		trees[0] = v.(*graph.Tree)
+	}()
+	<-started
+	second := make(chan struct{})
+	go func() {
+		defer wg.Done()
+		defer close(second)
+		tr, err := c.GaltonWatson(300, 4, 9)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		trees[1] = tr
+	}()
+	// Release the first build once the second request has joined it, or
+	// once the second request has returned without joining.
+wait:
+	for c.Stats().Coalesced == 0 {
+		select {
+		case <-second:
+			break wait
+		default:
+			runtime.Gosched()
+		}
+	}
+	close(release)
+	wg.Wait()
+	if trees[0] == nil || trees[0] != trees[1] {
+		t.Fatal("concurrent requests for one sample did not share its build")
+	}
+	s = c.Stats()
+	if ks := s.Kinds[KindGW]; s.Coalesced != 1 || ks.Builds != 1 || ks.Entries != 0 || ks.Nodes != 0 {
+		t.Fatalf("stats = %+v, want 1 coalesced GW build and nothing cached", s)
+	}
+	if s.Entries != 0 || s.Nodes != 0 || s.Misses != s.Builds+s.Coalesced {
+		t.Fatalf("stats = %+v, want an empty cache and misses = builds + coalesced", s)
 	}
 }

@@ -212,7 +212,7 @@ func reverseSlots(t *graph.Tree) []int32 {
 // handled anyway).
 func DefaultIDs(n int, seed uint64) []uint64 {
 	ids := make([]uint64, n)
-	used := make(map[uint64]bool, n)
+	used := newIDSet(n)
 	s := seed
 	for i := 0; i < n; i++ {
 		for {
@@ -222,14 +222,41 @@ func DefaultIDs(n int, seed uint64) []uint64 {
 			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 			z ^= z >> 31
 			z >>= 1 // keep IDs in 63 bits
-			if z != 0 && !used[z] {
-				used[z] = true
+			if z != 0 && used.insert(z) {
 				ids[i] = z
 				break
 			}
 		}
 	}
 	return ids
+}
+
+// idSet is an open-addressed, linearly probed set of IDs. 0 marks an empty
+// slot, which is safe because DefaultIDs never issues 0. Its length is a
+// power of two at least twice the number of IDs it will hold.
+type idSet []uint64
+
+func newIDSet(n int) idSet {
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	return make(idSet, size)
+}
+
+// insert adds z and reports whether it was absent. The IDs are splitmix64
+// outputs, so their low bits already index the table uniformly.
+func (s idSet) insert(z uint64) bool {
+	mask := uint64(len(s) - 1)
+	for i := z & mask; ; i = (i + 1) & mask {
+		switch s[i] {
+		case 0:
+			s[i] = z
+			return true
+		case z:
+			return false
+		}
+	}
 }
 
 // SequentialIDs returns IDs 1..n (useful for adversarial/parity tests).
