@@ -13,13 +13,13 @@ import (
 )
 
 // BenchmarkPaperSweeps regenerates the paper's experiments through the
-// registry, one sub-benchmark per experiment of the per-experiment index in
-// DESIGN.md, at fixed sizes and seeds. Scaling sweeps report the fitted
+// registry, one sub-benchmark per experiment ID of the index in
+// docs/EXPERIMENTS.md, at fixed sizes and seeds. Scaling sweeps report the fitted
 // exponent and the paper's exponent(s) as custom metrics, so `go test
 // -bench` regenerates the paper's scaling shapes.
 func BenchmarkPaperSweeps(b *testing.B) {
 	for _, bc := range []struct {
-		name  string // sub-benchmark: the experiment ID of DESIGN.md
+		name  string // sub-benchmark: the experiment ID (docs/EXPERIMENTS.md)
 		exp   string // catalog entry
 		sizes []int  // nil: the entry has no sweep axis
 		seed  uint64

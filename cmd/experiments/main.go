@@ -4,8 +4,8 @@
 // docs/EXPERIMENTS.md), a machine-readable JSON array with -json, or an
 // NDJSON stream with -ndjson.
 //
-// With no flags it regenerates every experiment of the per-experiment index
-// in DESIGN.md at the standard preset, in the historical output order.
+// With no flags it regenerates every experiment of the index in
+// docs/EXPERIMENTS.md at the standard preset, in the historical output order.
 // -jobs N executes up to N tasks concurrently in process; -workers N
 // instead dispatches tasks to N worker subprocesses over the NDJSON worker
 // protocol (docs/DISTRIBUTED.md) with instance-affinity grouping. Aggregate

@@ -4,13 +4,16 @@
 // γ = 1; Lemma 72) and the relaxed (γ, ℓ, i)-decomposition of Definition 43
 // that does not split long compress paths.
 //
-// The decomposition drives (a) the k-hierarchical labeling solver of
-// Lemma 65, and (b) the round accounting of the weight-node side of the
-// Π^{3.5} algorithm (Section 8), where a node's termination round is
-// proportional to the iteration in which it is assigned a layer and the
-// number of still-unassigned nodes decays geometrically with the iteration
-// (the substitute for [BBK+23a]'s Fast Decomposition Algorithm; see
-// DESIGN.md).
+// Compute is the repository's only rake-and-compress peel. It drives (a) the
+// k-hierarchical labeling solver of Lemma 65 (labeling.Solve), which reads
+// its labels and orientations off a (γ, 4, k)-decomposition whose pinned
+// nodes are the weight-augmented problem's active-adjacent weight nodes,
+// and (b) the round accounting of the weight-node side of the Π^{3.5}
+// algorithm (Section 8). There a Decline node terminates a constant number
+// of rounds after the iteration in which it is assigned a layer, and the
+// number of still-unassigned nodes decays geometrically with the iteration,
+// so the charge is O(1) node-averaged. This layer-proportional charge
+// substitutes for the Fast Decomposition Algorithm of [BBK+23a].
 package decomp
 
 import (
@@ -47,17 +50,23 @@ func (k Kind) String() string {
 type Assignment struct {
 	Kind Kind
 	// Iter is the 1-based iteration (layer number).
-	Iter int
+	Iter int32
 	// Sub is the 1-based rake sub-layer within the iteration (1..γ); 0 for
 	// compress assignments.
-	Sub int
+	Sub int32
 	// PathID identifies the compress path the node belongs to (-1 for rake).
-	PathID int
+	PathID int32
 }
 
 // Decomposition is the result of Compute.
 type Decomposition struct {
 	Assign []Assignment
+	// Order lists the nodes in removal order: each rake sub-layer in node
+	// index order, then each compress path of the iteration with its
+	// interior nodes first (in path order) and its two endpoints last. The
+	// neighbors of v that come after v in Order are exactly those still
+	// present when v was removed.
+	Order []int32
 	// Iters is the number of iterations used.
 	Iters int
 	// Paths lists the node sets of compress paths, ordered along the path;
@@ -82,8 +91,12 @@ type Options struct {
 	MaxIters int
 }
 
-// ErrBadOptions indicates invalid decomposition options.
-var ErrBadOptions = errors.New("invalid decomposition options")
+// ErrBadOptions indicates invalid decomposition options; ErrUnfinished
+// reports a peel that did not finish within Options.MaxIters iterations.
+var (
+	ErrBadOptions = errors.New("invalid decomposition options")
+	ErrUnfinished = errors.New("decomp: not finished")
+)
 
 // GammaForK returns the rake width γ = ⌈n^{1/k} · (ℓ/2)^{1−1/k}⌉ of
 // Lemma 72, which yields a (γ, ℓ, k)-decomposition (at most k iterations).
@@ -99,8 +112,11 @@ func GammaForK(n, ell, k int) int {
 	return g
 }
 
-// Compute peels tree t into rake and compress layers.
-func Compute(t *graph.Tree, opts Options) (*Decomposition, error) {
+// Compute peels tree t into rake and compress layers. pinned (nil for none)
+// marks nodes with a phantom edge to the outside of t: a pinned node counts
+// one neighbor more, so it is raked only once all its tree neighbors are
+// gone, and it never joins a compress path.
+func Compute(t *graph.Tree, pinned []bool, opts Options) (*Decomposition, error) {
 	if opts.Gamma < 1 {
 		return nil, fmt.Errorf("%w: gamma = %d", ErrBadOptions, opts.Gamma)
 	}
@@ -108,51 +124,59 @@ func Compute(t *graph.Tree, opts Options) (*Decomposition, error) {
 		return nil, fmt.Errorf("%w: ell = %d", ErrBadOptions, opts.Ell)
 	}
 	n := t.N()
+	if pinned != nil && len(pinned) != n {
+		return nil, fmt.Errorf("decomp: pinned length %d != n %d", len(pinned), n)
+	}
 	maxIters := opts.MaxIters
 	if maxIters == 0 {
 		maxIters = 4*n + 16
 	}
-	d := &Decomposition{Assign: make([]Assignment, n)}
+	d := &Decomposition{Assign: make([]Assignment, n), Order: make([]int32, 0, n)}
 	alive := make([]bool, n)
-	deg := make([]int, n)
+	deg := make([]int32, n) // alive neighbors, plus one for a pinned node
 	for v := 0; v < n; v++ {
 		alive[v] = true
-		deg[v] = t.Degree(v)
+		deg[v] = int32(t.Degree(v))
+		if pinned != nil && pinned[v] {
+			deg[v]++
+		}
 	}
-	remaining := n
-	remove := func(v int, a Assignment) {
+	mid := func(v int) bool { return alive[v] && deg[v] == 2 && (pinned == nil || !pinned[v]) }
+	take := func(v int, a Assignment) {
 		d.Assign[v] = a
+		d.Order = append(d.Order, int32(v))
+	}
+	drop := func(v int) {
 		alive[v] = false
-		remaining--
 		for _, w := range t.NeighborsRaw(v) {
 			if alive[w] {
 				deg[w]--
 			}
 		}
 	}
-	for iter := 1; remaining > 0; iter++ {
-		if iter > maxIters {
-			return nil, fmt.Errorf("decomp: not finished after %d iterations (%d nodes left)",
-				maxIters, remaining)
+	for iter := int32(1); len(d.Order) < n; iter++ {
+		if int(iter) > maxIters {
+			return nil, fmt.Errorf("%w after %d iterations (%d nodes left)", ErrUnfinished, maxIters, n-len(d.Order))
 		}
-		d.Iters = iter
-		// Rake sub-rounds.
-		for sub := 1; sub <= opts.Gamma && remaining > 0; sub++ {
-			var batch []int
+		d.Iters = int(iter)
+		// Rake sub-rounds: every node of degree <= 1 at the start of the
+		// sub-round leaves in it.
+		for sub := int32(1); int(sub) <= opts.Gamma && len(d.Order) < n; sub++ {
+			batch := len(d.Order)
 			for v := 0; v < n; v++ {
 				if alive[v] && deg[v] <= 1 {
-					batch = append(batch, v)
+					take(v, Assignment{Kind: KindRake, Iter: iter, Sub: sub, PathID: -1})
 				}
 			}
-			for _, v := range batch {
-				remove(v, Assignment{Kind: KindRake, Iter: iter, Sub: sub, PathID: -1})
+			for _, v := range d.Order[batch:] {
+				drop(int(v))
 			}
 		}
-		if remaining == 0 {
+		if len(d.Order) == n {
 			break
 		}
 		// Compress: maximal runs of alive degree-2 nodes.
-		for _, run := range degree2Runs(t, alive, deg) {
+		for _, run := range degree2Runs(t, mid) {
 			if len(run) < opts.Ell {
 				continue
 			}
@@ -161,10 +185,19 @@ func Compute(t *graph.Tree, opts Options) (*Decomposition, error) {
 				chunks = splitRun(run, opts.Ell)
 			}
 			for _, chunk := range chunks {
-				id := len(d.Paths)
+				a := Assignment{Kind: KindCompress, Iter: iter, PathID: int32(len(d.Paths))}
 				d.Paths = append(d.Paths, chunk)
+				// The interior nodes leave first, then the two endpoints.
+				last := len(chunk) - 1
+				for i := 1; i < last; i++ {
+					take(chunk[i], a)
+				}
+				take(chunk[0], a)
+				if last > 0 {
+					take(chunk[last], a)
+				}
 				for _, v := range chunk {
-					remove(v, Assignment{Kind: KindCompress, Iter: iter, PathID: id})
+					drop(v)
 				}
 			}
 		}
@@ -172,31 +205,27 @@ func Compute(t *graph.Tree, opts Options) (*Decomposition, error) {
 	return d, nil
 }
 
-// degree2Runs returns the maximal chains of alive nodes whose alive-degree
-// is exactly 2, each ordered along the chain.
-func degree2Runs(t *graph.Tree, alive []bool, deg []int) [][]int {
-	n := t.N()
-	isMid := func(v int) bool { return alive[v] && deg[v] == 2 }
-	seen := make([]bool, n)
+// degree2Runs returns the maximal chains of mid nodes, each ordered along
+// the chain.
+func degree2Runs(t *graph.Tree, mid func(v int) bool) [][]int {
+	seen := make([]bool, t.N())
 	var runs [][]int
-	for v := 0; v < n; v++ {
-		if !isMid(v) || seen[v] {
+	for v := range seen {
+		if !mid(v) || seen[v] {
 			continue
 		}
-		end := walkToEnd(t, alive, deg, v)
-		runs = append(runs, collectRun(t, alive, deg, end, seen))
+		runs = append(runs, collectRun(t, mid, walkToEnd(t, mid, v), seen))
 	}
 	return runs
 }
 
-func walkToEnd(t *graph.Tree, alive []bool, deg []int, v int) int {
-	isMid := func(u int) bool { return alive[u] && deg[u] == 2 }
+func walkToEnd(t *graph.Tree, mid func(v int) bool, v int) int {
 	prev, cur := -1, v
 	for {
 		next := -1
 		for _, w := range t.NeighborsRaw(cur) {
 			u := int(w)
-			if u != prev && isMid(u) {
+			if u != prev && mid(u) {
 				next = u
 				break
 			}
@@ -208,8 +237,7 @@ func walkToEnd(t *graph.Tree, alive []bool, deg []int, v int) int {
 	}
 }
 
-func collectRun(t *graph.Tree, alive []bool, deg []int, end int, seen []bool) []int {
-	isMid := func(u int) bool { return alive[u] && deg[u] == 2 }
+func collectRun(t *graph.Tree, mid func(v int) bool, end int, seen []bool) []int {
 	run := []int{end}
 	seen[end] = true
 	prev, cur := -1, end
@@ -217,7 +245,7 @@ func collectRun(t *graph.Tree, alive []bool, deg []int, end int, seen []bool) []
 		next := -1
 		for _, w := range t.NeighborsRaw(cur) {
 			u := int(w)
-			if u != prev && isMid(u) && !seen[u] {
+			if u != prev && mid(u) && !seen[u] {
 				next = u
 				break
 			}

@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -85,7 +86,7 @@ func checkDecomposition(t *testing.T, tr *graph.Tree, d *Decomposition, opts Opt
 			higherCount := 0
 			for _, w := range tr.NeighborsRaw(v) {
 				u := int(w)
-				if d.Assign[u].PathID == id {
+				if int(d.Assign[u].PathID) == id {
 					continue
 				}
 				if higher(u, v) {
@@ -109,7 +110,7 @@ func TestComputeOnPathRelaxed(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Gamma: 1, Ell: 3}
-	d, err := Compute(tr, opts)
+	d, err := Compute(tr, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestComputeOnPathSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Gamma: 1, Ell: 4, SplitPaths: true}
-	d, err := Compute(tr, opts)
+	d, err := Compute(tr, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestComputeLogIterationsGamma1(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{100, 1000, 10000} {
 		tr := randomTree(rng, n, 5)
-		d, err := Compute(tr, Options{Gamma: 1, Ell: 3})
+		d, err := Compute(tr, nil, Options{Gamma: 1, Ell: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func TestGeometricDecay(t *testing.T) {
 		randomTree(rng, 20000, 6),
 	}
 	for i, tr := range shapes {
-		d, err := Compute(tr, Options{Gamma: 1, Ell: 3})
+		d, err := Compute(tr, nil, Options{Gamma: 1, Ell: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +193,7 @@ func TestLemma72KIterations(t *testing.T) {
 		for _, n := range []int{100, 2000, 20000} {
 			tr := randomTree(rng, n, 4)
 			gamma := GammaForK(n, 4, k)
-			d, err := Compute(tr, Options{Gamma: gamma, Ell: 4, SplitPaths: true})
+			d, err := Compute(tr, nil, Options{Gamma: gamma, Ell: 4, SplitPaths: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +212,7 @@ func TestLemma72KIterationsOnPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		gamma := GammaForK(n, 4, k)
-		d, err := Compute(tr, Options{Gamma: gamma, Ell: 4, SplitPaths: true})
+		d, err := Compute(tr, nil, Options{Gamma: gamma, Ell: 4, SplitPaths: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,10 +227,10 @@ func TestComputeValidatesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compute(tr, Options{Gamma: 0, Ell: 3}); err == nil {
+	if _, err := Compute(tr, nil, Options{Gamma: 0, Ell: 3}); err == nil {
 		t.Error("gamma=0 accepted")
 	}
-	if _, err := Compute(tr, Options{Gamma: 1, Ell: 0}); err == nil {
+	if _, err := Compute(tr, nil, Options{Gamma: 1, Ell: 0}); err == nil {
 		t.Error("ell=0 accepted")
 	}
 }
@@ -257,11 +258,75 @@ func TestSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Compute(tr, Options{Gamma: 1, Ell: 3})
+	d, err := Compute(tr, nil, Options{Gamma: 1, Ell: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Assign[0].Kind != KindRake || d.Iters != 1 {
 		t.Fatalf("single node: %+v iters=%d", d.Assign[0], d.Iters)
+	}
+}
+
+// TestComputeOrderAndPins: Order lists every node once; a rake node has at
+// most one neighbor after it in Order and a pinned rake node none (its
+// phantom edge is its last); no pinned node joins a compress path; and a
+// compress path's interior nodes leave before its two endpoints.
+func TestComputeOrderAndPins(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	finished := 0
+	for trial := 0; trial < 30; trial++ {
+		n := 20 + rng.Intn(400)
+		tr := randomTree(rng, n, 4)
+		pinned := make([]bool, n)
+		for i := trial % 4; i > 0; i-- {
+			pinned[rng.Intn(n)] = true
+		}
+		opts := Options{Gamma: 2, Ell: 4, SplitPaths: true}
+		d, err := Compute(tr, pinned, opts)
+		if errors.Is(err, ErrUnfinished) {
+			continue // pins can anchor a short degree-2 chain for good
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		finished++
+		pos := make([]int, n)
+		for v := range pos {
+			pos[v] = -1
+		}
+		for i, v := range d.Order {
+			if pos[v] != -1 {
+				t.Fatalf("trial %d: node %d removed twice", trial, v)
+			}
+			pos[v] = i
+		}
+		if len(d.Order) != n {
+			t.Fatalf("trial %d: Order has %d of %d nodes", trial, len(d.Order), n)
+		}
+		for v := 0; v < n; v++ {
+			later := 0
+			for _, w := range tr.NeighborsRaw(v) {
+				if pos[w] > pos[v] {
+					later++
+				}
+			}
+			switch a := d.Assign[v]; {
+			case a.Kind == KindCompress && pinned[v]:
+				t.Fatalf("trial %d: pinned node %d in a compress path", trial, v)
+			case a.Kind == KindRake && (later > 1 || pinned[v] && later > 0):
+				t.Fatalf("trial %d: rake node %d (pinned %v) leaves before %d neighbors", trial, v, pinned[v], later)
+			}
+		}
+		for _, path := range d.Paths {
+			last := len(path) - 1
+			for _, v := range path[1:last] {
+				if pos[v] > pos[path[0]] || pos[v] > pos[path[last]] {
+					t.Fatalf("trial %d: interior node %d leaves after an endpoint", trial, v)
+				}
+			}
+		}
+	}
+	if finished < 15 {
+		t.Fatalf("only %d of 30 pinned decompositions finished", finished)
 	}
 }

@@ -1,12 +1,12 @@
 package exp
 
-// The built-in catalog: every experiment of the per-experiment index in
-// DESIGN.md, registered in the order cmd/experiments historically printed
-// them. "standard" matches the old default run exactly; "quick" is a small
-// smoke sweep (the old -quick values where that flag shrank the sweep, and
-// a genuinely smaller sweep for hierarchical35-k3 and survivors, which the
-// old flag left at full size); "stress" extends one or two doublings past
-// standard.
+// The built-in catalog: every experiment of the index in
+// docs/EXPERIMENTS.md, registered in the order cmd/experiments historically
+// printed them. "standard" matches the old default run exactly; "quick" is
+// a small smoke sweep (the old -quick values where that flag shrank the
+// sweep, and a genuinely smaller sweep for hierarchical35-k3 and survivors,
+// which the old flag left at full size); "stress" extends one or two
+// doublings past standard.
 
 import (
 	"context"

@@ -177,8 +177,9 @@ func hierLengths(k, T int) []int {
 // hierarchical35Spec declares experiment E-T11 (Theorem 11): the generic
 // algorithm for k-hierarchical 3½-coloring on the Definition-18 lower-bound
 // graph with ℓ_i = T^{2^{i-1}}, swept over the scale T (the stand-in for
-// t = (log* n)^{1/(2^k−1)}; see substitution 5 in DESIGN.md). The measured
-// node-averaged complexity must scale like Θ(T), i.e. slope 1 in T.
+// t = (log* n)^{1/(2^k−1)}: log* n is at most 5 on any tree that fits in
+// memory, so the sweep varies T directly). The measured node-averaged
+// complexity must scale like Θ(T), i.e. slope 1 in T.
 func hierarchical35Spec(k int) *sweepSpec {
 	return &sweepSpec{
 		header:    []string{"T", "n", "node-avg rounds", "node-avg / T"},
@@ -337,9 +338,9 @@ func weighted35Spec(delta, d, k, weightFactor int) (*sweepSpec, error) {
 		for i := 0; i < k-1; i++ {
 			lengths[i] = maxi(2, int(math.Pow(float64(T), alphas[i])))
 		}
-		// ℓ_k on the recurrence scale (the paper ties ℓ_k to n and log* n;
-		// in the sweep the level-k contribution is dominated — DESIGN.md,
-		// substitution 5).
+		// ℓ_k on the recurrence scale (the paper ties ℓ_k to n and log* n,
+		// which the sweep replaces by T; the level-k contribution is
+		// dominated).
 		lengths[k-1] = maxi(4, int(math.Pow(float64(T), alphas[k-2]*(2-xPrime))))
 		return lengths
 	}

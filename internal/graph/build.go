@@ -53,18 +53,26 @@ func BuildBalanced(delta, size int) (*Tree, error) {
 		return nil, fmt.Errorf("%w: balanced tree degree %d < 2", ErrBadParam, delta)
 	}
 	b := NewBuilder(size)
-	b.AddNodes(size)
-	fan := delta - 1
-	next := 1
-	for v := 0; v < size && next < size; v++ {
-		for c := 0; c < fan && next < size; c++ {
+	if err := fillBalanced(b, b.AddNodes(size), size, delta); err != nil {
+		return nil, err
+	}
+	return b.Build()
+}
+
+// fillBalanced connects the size nodes first, first+1, ... of b into a
+// balanced tree rooted at first: in index order, every node takes the next
+// up to delta-1 unconnected nodes as its children.
+func fillBalanced(b *Builder, first, size, delta int) error {
+	next, last := first+1, first+size-1
+	for v := first; v <= last && next <= last; v++ {
+		for c := 0; c < delta-1 && next <= last; c++ {
 			if err := b.AddEdge(v, next); err != nil {
-				return nil, err
+				return err
 			}
 			next++
 		}
 	}
-	return b.Build()
+	return nil
 }
 
 // BuildCaterpillar returns a spine path of spineLen nodes with legLen-node
@@ -167,6 +175,59 @@ func BuildHierarchical(lengths []int) (*Hierarchical, error) {
 		}
 	}
 	return h, nil
+}
+
+// BuildWeightedHierarchical builds the weighted lower-bound construction of
+// Definition 25 (Figure 4) around the hierarchical core h, the tree shared by
+// the weighted instances of Theorems 2-5 and the weight-augmented instances
+// of Lemmas 68-69. The core keeps its node indices and edges; then, for every
+// construction level i = 2..k, perLevel weight nodes are split evenly (at
+// least one each) among the level-i nodes as balanced trees of maximum
+// degree delta, one per node, each root attached to its host. Every node
+// from h.Tree.N() on is a weight node. It returns the tree and the map from
+// each weight-tree root to its host.
+func BuildWeightedHierarchical(h *Hierarchical, delta, perLevel int) (*Tree, map[int]int, error) {
+	if delta < 2 {
+		return nil, nil, fmt.Errorf("%w: weight tree degree %d < 2", ErrBadParam, delta)
+	}
+	nCore := h.Tree.N()
+	b := NewBuilder(nCore + (h.K-1)*perLevel)
+	b.AddNodes(nCore)
+	for _, e := range h.Tree.Edges() {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			return nil, nil, err
+		}
+	}
+	roots := make(map[int]int)
+	for level := 2; level <= h.K; level++ {
+		hosts := 0
+		for _, path := range h.Paths[level-1] {
+			hosts += len(path)
+		}
+		if hosts == 0 {
+			continue
+		}
+		per := max(1, perLevel/hosts)
+		for _, path := range h.Paths[level-1] {
+			for _, host := range path {
+				root := b.AddNodes(per)
+				// The host edge comes before the fill, so it is the root's
+				// port 0.
+				if err := b.AddEdge(host, root); err != nil {
+					return nil, nil, err
+				}
+				if err := fillBalanced(b, root, per, delta); err != nil {
+					return nil, nil, err
+				}
+				roots[root] = host
+			}
+		}
+	}
+	tree, err := b.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	return tree, roots, nil
 }
 
 func totalHierarchicalNodes(lengths []int) int {

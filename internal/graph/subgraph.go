@@ -24,6 +24,16 @@ func (c *Component) IndexOf(parent int) int {
 	return int(c.local[parent])
 }
 
+// Mask returns the node mask of t that keep selects, in the form
+// InducedComponents takes.
+func Mask(t *Tree, keep func(v int) bool) []bool {
+	mask := make([]bool, t.N())
+	for v := range mask {
+		mask[v] = keep(v)
+	}
+	return mask
+}
+
 // InducedComponents returns the connected components of the subgraph of t
 // induced by the nodes with mask[v] == true, in order of their
 // lowest-indexed node. Each component's nodes are indexed in BFS order from

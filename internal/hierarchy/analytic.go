@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/coloring"
 	"repro/internal/graph"
@@ -114,6 +115,52 @@ func RunAnalytic(t *graph.Tree, levels []int, sched *Schedule, ids []uint64) (*E
 		}
 	}
 	return ex, nil
+}
+
+// RunAnalyticOn runs RunAnalytic on every active component of t: each
+// connected component of the subgraph induced by mask, with its own
+// Definition-8 levels and its nodes' IDs. It passes every masked node's
+// output and termination round to emit, by the node's index in t.
+func RunAnalyticOn(t *graph.Tree, mask []bool, sched *Schedule, ids []uint64, emit func(v int, out Label, round int)) error {
+	for _, comp := range graph.InducedComponents(t, mask) {
+		compIDs := make([]uint64, len(comp.Nodes))
+		for i, v := range comp.Nodes {
+			compIDs[i] = ids[v]
+		}
+		ex, err := RunAnalytic(comp.Tree, graph.ComputeLevels(comp.Tree, sched.params.Problem.K), sched, compIDs)
+		if err != nil {
+			return err
+		}
+		for i, v := range comp.Nodes {
+			emit(v, ex.Out[i], ex.Rounds[i])
+		}
+	}
+	return nil
+}
+
+// Gammas returns the phase lengths γ_i = max(1, ⌈scale^{α_i}⌉) for the
+// exponents alphas: scale is n for the polynomial regime and the log* n
+// stand-in for the log* regime.
+func Gammas(scale int, alphas []float64) []int {
+	gammas := make([]int, len(alphas))
+	for i, a := range alphas {
+		gammas[i] = max(1, int(math.Ceil(math.Pow(float64(scale), a))))
+	}
+	return gammas
+}
+
+// FirstActive returns the neighbor u of v with active[u] whose round
+// rounds[u] is smallest, the first in port order among ties, or -1 if v has
+// no active neighbor. It is the active node a weight node waits for and
+// copies.
+func FirstActive(t *graph.Tree, v int, active []bool, rounds []int) int {
+	best := -1
+	for _, w := range t.NeighborsRaw(v) {
+		if u := int(w); active[u] && (best == -1 || rounds[u] < rounds[best]) {
+			best = u
+		}
+	}
+	return best
 }
 
 // exemptRound computes whether undecided node v (level 2..k) is eligible for

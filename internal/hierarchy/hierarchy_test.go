@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -341,5 +342,32 @@ func TestAnalyticNodeAveragedMatchesSim(t *testing.T) {
 	}
 	if ex.SumRounds() <= 0 {
 		t.Fatal("sum of rounds should be positive")
+	}
+}
+
+func TestGammas(t *testing.T) {
+	got := Gammas(100, []float64{0.5, 1, 0, -1})
+	if want := []int{10, 100, 1, 1}; !slices.Equal(got, want) {
+		t.Fatalf("Gammas(100, ...) = %v, want %v", got, want)
+	}
+	if got := Gammas(1, nil); len(got) != 0 {
+		t.Fatalf("Gammas with no exponents = %v", got)
+	}
+}
+
+// TestFirstActive: the earliest-terminating active neighbor wins, the first
+// in port order among ties; inactive neighbors never count.
+func TestFirstActive(t *testing.T) {
+	star, err := graph.BuildStar(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := []bool{false, true, true, true, false, true}
+	rounds := []int{0, 5, 3, 3, 1, 4}
+	if u := FirstActive(star, 0, active, rounds); u != 2 {
+		t.Fatalf("FirstActive = %d, want 2", u)
+	}
+	if u := FirstActive(star, 4, active, rounds); u != -1 {
+		t.Fatalf("leaf with an inactive center: FirstActive = %d, want -1", u)
 	}
 }

@@ -92,6 +92,22 @@ func violation(v int, format string, args ...any) error {
 	return fmt.Errorf("%w: node %d: %s", ErrInvalidOutput, v, fmt.Sprintf(format, args...))
 }
 
+// VerifyOn checks the labeling label(v) on every active component of t: each
+// connected component of the subgraph induced by mask, against its own
+// Definition-8 levels.
+func (p Problem) VerifyOn(t *graph.Tree, mask []bool, label func(v int) Label) error {
+	for _, comp := range graph.InducedComponents(t, mask) {
+		out := make([]Label, len(comp.Nodes))
+		for i, v := range comp.Nodes {
+			out[i] = label(v)
+		}
+		if err := p.Verify(comp.Tree, graph.ComputeLevels(comp.Tree, p.K), out); err != nil {
+			return fmt.Errorf("active component at node %d: %w", comp.Nodes[0], err)
+		}
+	}
+	return nil
+}
+
 // Verify checks an output labeling against the constraints of Definition 8
 // (2½) or Definition 9 (3½). levels must be the Definition-8 levels (use
 // graph.ComputeLevels(t, p.K)). It returns nil iff the labeling is valid.

@@ -22,10 +22,12 @@
 // Beyond the bare trees, the cache holds keyed *composite* entries: the
 // Definition-25 weighted instances (tree + Active/Weight inputs,
 // weighted.BuildInstance) and the Section-10 weight-augmented instances
-// (labeling.BuildAugInstance). Composites are built around a hierarchical
-// core requested through the same cache, so every composite sharing a
-// path-length vector shares one core tree; the composite entry itself is
-// accounted by its full node count in the same LRU.
+// (labeling.BuildAugInstance). Both kinds build their tree with
+// graph.BuildWeightedHierarchical around a hierarchical core requested
+// through the same cache, so every composite sharing a path-length vector
+// shares one core tree, and the two kinds differ only in how they mark the
+// weight nodes. The composite entry itself is accounted by its full node
+// count in the same LRU.
 //
 // Callers must treat returned values as read-only: trees, input slices, and
 // the Hierarchical metadata around them are shared across goroutines. That

@@ -61,12 +61,10 @@ type Solution struct {
 	// solver charges a node γ+2 rounds per decomposition iteration, for a
 	// worst case of O(k · n^{1/k}).
 	Rounds []int
-	// Iter[v] is the decomposition iteration in which v was assigned.
-	Iter []int
-	// Seq[v] is the removal sequence number of v; orientation targets always
-	// have strictly larger Seq, so processing nodes in decreasing Seq order
-	// resolves all copy dependencies.
-	Seq []int
+	// Order is the decomposition's removal order. Every orientation target
+	// comes after its source, so walking Order backwards resolves all copy
+	// dependencies.
+	Order []int32
 }
 
 // ErrInvalid wraps verifier failures; ErrInfeasible marks instances the
@@ -77,23 +75,21 @@ var (
 )
 
 // Solve computes a k-hierarchical labeling of t in worst-case O(k·n^{1/k})
-// rounds (Lemma 65), using a (γ, 4, k)-decomposition with γ from Lemma 72.
-// pinned marks nodes that must survive until their neighborhood is gone and
-// that point "outside" the graph (used by the weight-augmented problem,
-// where pinned nodes orient toward an active node); pinned entries get
-// OutNode = -1 here. pinned may be nil.
+// rounds (Lemma 65), reading it off the (γ, 4, k)-decomposition that
+// decomp.Compute peels with γ from Lemma 72. pinned marks nodes that must
+// survive until their neighborhood is gone and that point "outside" the
+// graph (used by the weight-augmented problem, where pinned nodes orient
+// toward an active node); pinned entries get OutNode = -1 here. pinned may
+// be nil.
 func Solve(t *graph.Tree, k int, pinned []bool) (*Solution, error) {
 	n := t.N()
 	if k < 1 {
 		return nil, fmt.Errorf("labeling: k = %d < 1", k)
 	}
-	if pinned == nil {
-		pinned = make([]bool, n)
-	}
-	if len(pinned) != n {
+	if pinned != nil && len(pinned) != n {
 		return nil, fmt.Errorf("labeling: pinned length %d != n %d", len(pinned), n)
 	}
-	for v := 0; v < n; v++ {
+	for v := range pinned {
 		if !pinned[v] {
 			continue
 		}
@@ -104,170 +100,56 @@ func Solve(t *graph.Tree, k int, pinned []bool) (*Solution, error) {
 		}
 	}
 	gamma := decomp.GammaForK(n, 4, k)
+	dec, err := decomp.Compute(t, pinned, decomp.Options{Gamma: gamma, Ell: 4, SplitPaths: true, MaxIters: k})
+	if errors.Is(err, decomp.ErrUnfinished) {
+		return nil, fmt.Errorf("%w: needs more than k=%d iterations (γ=%d)", ErrInfeasible, k, gamma)
+	}
+	if err != nil {
+		return nil, err
+	}
 	sol := &Solution{
 		Out:    make([]Output, n),
 		Rounds: make([]int, n),
-		Iter:   make([]int, n),
-		Seq:    make([]int, n),
+		Order:  dec.Order,
 	}
-	seq := 0
-	alive := make([]bool, n)
-	deg := make([]int, n) // effective degree: +1 for pinned nodes
-	for v := 0; v < n; v++ {
-		alive[v] = true
-		deg[v] = t.Degree(v)
-		if pinned[v] {
-			deg[v]++
-		}
-	}
-	remaining := n
-	aliveNbr := func(v int) int {
-		for _, w := range t.NeighborsRaw(v) {
-			if alive[w] {
-				return int(w)
+	// A rake node of iteration i gets R_i and points at its one neighbor
+	// still present when it leaves (rule 3: lower labels point at higher);
+	// a pinned node leaves only once every tree neighbor is gone, so it
+	// points outside (-1).
+	gone := make([]bool, n)
+	for _, v := range dec.Order {
+		iter := int(dec.Assign[v].Iter)
+		out := Output{Label: Rake(iter), OutNode: -1}
+		for _, w := range t.NeighborsRaw(int(v)) {
+			if !gone[w] {
+				out.OutNode = int(w)
+				break
 			}
 		}
-		return -1
-	}
-	remove := func(v int, out Output, iter int) {
+		gone[v] = true
 		sol.Out[v] = out
-		sol.Iter[v] = iter
-		sol.Seq[v] = seq
-		seq++
 		sol.Rounds[v] = iter * (gamma + 2)
-		alive[v] = false
-		remaining--
-		for _, w := range t.NeighborsRaw(v) {
-			if alive[w] {
-				deg[w]--
-			}
-		}
 	}
-	for iter := 1; remaining > 0; iter++ {
-		if iter > k {
-			return nil, fmt.Errorf("%w: needs more than k=%d iterations (γ=%d)", ErrInfeasible, k, gamma)
-		}
-		// γ rake sub-rounds: remove effective-degree-<=1 nodes; each orients
-		// its edge toward its unique alive neighbor (rule 3 direction:
-		// lower label points at higher). Pinned nodes have a phantom edge
-		// and are removed only when isolated, pointing outside.
-		for sub := 0; sub < gamma && remaining > 0; sub++ {
-			var batch []int
-			for v := 0; v < n; v++ {
-				if alive[v] && deg[v] <= 1 {
-					batch = append(batch, v)
-				}
+	// A compress path of iteration i < k: its interior nodes get C_i, the
+	// two next to an endpoint pointing at it; the endpoints, which leave
+	// after the interior, are promoted to R_{i+1} and keep pointing at their
+	// remaining outside neighbor.
+	for _, path := range dec.Paths {
+		iter := int(dec.Assign[path[0]].Iter)
+		last := len(path) - 1
+		sol.Out[path[0]].Label = Rake(iter + 1)
+		sol.Out[path[last]].Label = Rake(iter + 1)
+		for i := 1; i < last; i++ {
+			out := Output{Label: Compress(iter), OutNode: -1}
+			if i == 1 {
+				out.OutNode = path[0]
+			} else if i == last-1 {
+				out.OutNode = path[last]
 			}
-			for _, v := range batch {
-				remove(v, Output{Label: Rake(iter), OutNode: aliveNbr(v)}, iter)
-			}
-		}
-		if remaining == 0 {
-			break
-		}
-		// Compress: split maximal alive degree-2 runs into [4,8]-node paths;
-		// interiors get C_iter, endpoints get R_{iter+1} with the interior
-		// neighbor pointing at them and the endpoint pointing at its higher
-		// alive neighbor.
-		runs := aliveDeg2Runs(t, alive, deg, pinned)
-		for _, run := range runs {
-			if len(run) < 4 {
-				continue
-			}
-			if iter == k {
-				return nil, fmt.Errorf("%w: compress needed at iteration k=%d (no C_%d label)", ErrInfeasible, k, k)
-			}
-			for _, chunk := range splitChunks(run, 4) {
-				last := len(chunk) - 1
-				// Interiors first (they point at endpoints while endpoints
-				// are conceptually "later").
-				for i := 1; i < last; i++ {
-					out := Output{Label: Compress(iter), OutNode: -1}
-					if i == 1 {
-						out.OutNode = chunk[0]
-					} else if i == last-1 {
-						out.OutNode = chunk[last]
-					}
-					remove(chunk[i], out, iter)
-				}
-				for _, e := range []int{0, last} {
-					v := chunk[e]
-					if e == last && last == 0 {
-						continue
-					}
-					remove(v, Output{Label: Rake(iter + 1), OutNode: aliveNbr(v)}, iter)
-				}
-			}
+			sol.Out[path[i]] = out
 		}
 	}
 	return sol, nil
-}
-
-// aliveDeg2Runs lists maximal chains of alive, unpinned, effective-degree-2
-// nodes (pinned nodes never join compress paths: their phantom edge keeps
-// them anchored).
-func aliveDeg2Runs(t *graph.Tree, alive []bool, deg []int, pinned []bool) [][]int {
-	n := t.N()
-	isMid := func(v int) bool { return alive[v] && deg[v] == 2 && !pinned[v] }
-	seen := make([]bool, n)
-	var runs [][]int
-	for v := 0; v < n; v++ {
-		if !isMid(v) || seen[v] {
-			continue
-		}
-		// Walk to one end.
-		prev, cur := -1, v
-		for {
-			next := -1
-			for _, w := range t.NeighborsRaw(cur) {
-				u := int(w)
-				if u != prev && isMid(u) {
-					next = u
-					break
-				}
-			}
-			if next == -1 {
-				break
-			}
-			prev, cur = cur, next
-		}
-		// Collect from the end.
-		run := []int{cur}
-		seen[cur] = true
-		prev = -1
-		for {
-			next := -1
-			for _, w := range t.NeighborsRaw(cur) {
-				u := int(w)
-				if u != prev && isMid(u) && !seen[u] {
-					next = u
-					break
-				}
-			}
-			if next == -1 {
-				break
-			}
-			seen[next] = true
-			run = append(run, next)
-			prev, cur = cur, next
-		}
-		runs = append(runs, run)
-	}
-	return runs
-}
-
-// splitChunks cuts a run into chunks of length in [ell, 2ell], dropping
-// separator nodes between chunks (they stay alive).
-func splitChunks(run []int, ell int) [][]int {
-	var chunks [][]int
-	for len(run) > 2*ell {
-		chunks = append(chunks, run[:ell])
-		run = run[ell+1:]
-	}
-	if len(run) >= ell {
-		chunks = append(chunks, run)
-	}
-	return chunks
 }
 
 // Verify checks the six rules of Definition 63. pinned nodes are allowed

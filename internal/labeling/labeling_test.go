@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -25,6 +26,8 @@ func TestLabelArithmetic(t *testing.T) {
 	}
 }
 
+// randomTree attaches every node v >= 1 to a uniformly drawn earlier node
+// of degree below maxDeg, so degrees stay at most maxDeg (maxDeg >= 2).
 func randomTree(rng *rand.Rand, n, maxDeg int) *graph.Tree {
 	b := graph.NewBuilder(n)
 	b.AddNode()
@@ -33,7 +36,7 @@ func randomTree(rng *rand.Rand, n, maxDeg int) *graph.Tree {
 		b.AddNode()
 		for {
 			u := rng.Intn(v)
-			if deg[u] < maxDeg-1 {
+			if deg[u] < maxDeg {
 				if err := b.AddEdge(v, u); err != nil {
 					panic(err)
 				}
@@ -315,15 +318,71 @@ func TestVerifyAugRejectsBrokenOutputs(t *testing.T) {
 	if VerifyAug(inst.Tree, inst.Weight, inst.K, out) == nil {
 		t.Error("wrong root secondary accepted")
 	}
-	// Rake node originating Decline.
-	out = append([]AugOutput(nil), res.Out...)
-	for v := range out {
-		if inst.Weight[v] && out[v].WLabel.IsRake() && out[v].OutNode == -1 {
-			out[v].Secondary = Secondary{Decline: true}
-			break
+	// Rake node originating Decline: on an all-weight balanced tree the
+	// last survivor, node 0, starts a label; declining everywhere makes it
+	// originate Decline.
+	tr := mustBalanced(t, 4, 40)
+	weight := make([]bool, tr.N())
+	for v := range weight {
+		weight[v] = true
+	}
+	res, err = SolveAug(tr, weight, 2, sim.DefaultIDs(tr.N(), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyAug(tr, weight, 2, res.Out); err != nil {
+		t.Fatal(err)
+	}
+	for v := range res.Out {
+		res.Out[v].Secondary = Secondary{Decline: true}
+	}
+	err = VerifyAug(tr, weight, 2, res.Out)
+	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "rake node 0 originates Decline") {
+		t.Errorf("all-Decline labeling: got %v, want rake node 0 originating Decline", err)
+	}
+}
+
+// TestSolveAugOutputsPassVerifyAug: off the paper's construction SolveAug
+// may report ErrInfeasible, but every labeling it returns must pass
+// VerifyAug. Inputs are random Galton-Watson trees and ladders with a weight
+// mask of random density, at k = 2 and 3.
+func TestSolveAugOutputsPassVerifyAug(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	runs, infeasible := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		n := 50 + rng.Intn(2001)
+		seed := rng.Uint64()
+		tr, err := graph.BuildLadder(n, seed)
+		if trial%2 == 0 {
+			tr, err = graph.BuildGaltonWatson(n, 3+trial%4, seed)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		density := rng.Float64()
+		weight := make([]bool, n)
+		for v := range weight {
+			weight[v] = rng.Float64() < density
+		}
+		for _, k := range []int{2, 3} {
+			runs++
+			res, err := SolveAug(tr, weight, k, sim.DefaultIDs(n, seed))
+			if errors.Is(err, ErrInfeasible) {
+				infeasible++
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d k=%d: %v", trial, k, err)
+			}
+			if err := VerifyAug(tr, weight, k, res.Out); err != nil {
+				t.Fatalf("trial %d k=%d (n=%d, density %.2f): %v", trial, k, n, density, err)
+			}
 		}
 	}
-	_ = VerifyAug(inst.Tree, inst.Weight, inst.K, out) // may or may not trigger; exercised for coverage
+	t.Logf("%d of %d runs infeasible", infeasible, runs)
+	if infeasible == runs {
+		t.Fatal("every run was infeasible; the test checks nothing")
+	}
 }
 
 func TestAugCopyNodesWaitForActive(t *testing.T) {
@@ -400,10 +459,14 @@ func TestSeqStrictlyIncreasesAlongOrientation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pos := make([]int, tr.N())
+	for i, v := range sol.Order {
+		pos[v] = i
+	}
 	for v := 0; v < tr.N(); v++ {
-		if u := sol.Out[v].OutNode; u >= 0 && sol.Seq[u] <= sol.Seq[v] {
-			t.Fatalf("orientation %d->%d does not increase Seq (%d -> %d)",
-				v, u, sol.Seq[v], sol.Seq[u])
+		if u := sol.Out[v].OutNode; u >= 0 && pos[u] <= pos[v] {
+			t.Fatalf("orientation %d->%d does not go later in Order (%d -> %d)",
+				v, u, pos[v], pos[u])
 		}
 	}
 }

@@ -2,8 +2,6 @@ package labeling
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/hierarchy"
@@ -79,52 +77,12 @@ func BuildAugInstanceFrom(k, delta int, h *graph.Hierarchical, weightPerLevel in
 	if h.K != k {
 		return nil, fmt.Errorf("labeling: %d-level core for k=%d", h.K, k)
 	}
-	nCore := h.Tree.N()
-	b := graph.NewBuilder(nCore + (k-1)*weightPerLevel)
-	b.AddNodes(nCore)
-	for _, e := range h.Tree.Edges() {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			return nil, err
-		}
-	}
-	roots := make(map[int]int)
-	fan := delta - 1
-	for level := 2; level <= k; level++ {
-		var hosts []int
-		for _, path := range h.Paths[level-1] {
-			hosts = append(hosts, path...)
-		}
-		if len(hosts) == 0 {
-			continue
-		}
-		per := weightPerLevel / len(hosts)
-		if per < 1 {
-			per = 1
-		}
-		for _, host := range hosts {
-			first := b.AddNodes(per)
-			if err := b.AddEdge(host, first); err != nil {
-				return nil, err
-			}
-			next := first + 1
-			lastIdx := first + per - 1
-			for v := first; v <= lastIdx && next <= lastIdx; v++ {
-				for c := 0; c < fan && next <= lastIdx; c++ {
-					if err := b.AddEdge(v, next); err != nil {
-						return nil, err
-					}
-					next++
-				}
-			}
-			roots[first] = host
-		}
-	}
-	tree, err := b.Build()
+	tree, roots, err := graph.BuildWeightedHierarchical(h, delta, weightPerLevel)
 	if err != nil {
 		return nil, err
 	}
 	weight := make([]bool, tree.N())
-	for v := nCore; v < tree.N(); v++ {
+	for v := h.Tree.N(); v < tree.N(); v++ {
 		weight[v] = true
 	}
 	return &AugInstance{
@@ -132,7 +90,7 @@ func BuildAugInstanceFrom(k, delta int, h *graph.Hierarchical, weightPerLevel in
 		Delta:   delta,
 		Tree:    tree,
 		Weight:  weight,
-		NumCore: nCore,
+		NumCore: h.Tree.N(),
 		Roots:   roots,
 	}, nil
 }
@@ -163,19 +121,25 @@ type AugResult struct {
 // orientation — every rake chain copies the value of the node it points to,
 // ultimately the active output (Lemma 68: an Ω(1) fraction of every attached
 // weight tree waits for its active node), while compress subtrees decline.
+//
+// SolveAug is a solver for the paper's construction (BuildAugInstance), not
+// for every Active/Weight assignment. Elsewhere it returns ErrInfeasible
+// where that scheme does not yield a valid output: when pinned nodes are
+// adjacent, when the weight side needs more than k decomposition
+// iterations, and when a declining compress node would point at a node that
+// copies a label (rule 4). Every output it returns passes VerifyAug.
 func SolveAug(t *graph.Tree, weight []bool, k int, ids []uint64) (*AugResult, error) {
 	n := t.N()
 	if len(weight) != n || len(ids) != n {
 		return nil, fmt.Errorf("labeling: weight/ids length mismatch (n=%d)", n)
 	}
-	gamma := int(math.Ceil(math.Pow(float64(n), 1/float64(k))))
-	gammas := make([]int, k-1)
-	for i := range gammas {
-		gammas[i] = gamma
+	alphas := make([]float64, k-1)
+	for i := range alphas {
+		alphas[i] = 1 / float64(k)
 	}
 	sched, err := hierarchy.NewSchedule(hierarchy.Params{
 		Problem: hierarchy.Problem{K: k, Variant: hierarchy.Coloring25},
-		Gammas:  gammas,
+		Gammas:  hierarchy.Gammas(n, alphas),
 	})
 	if err != nil {
 		return nil, err
@@ -187,81 +151,56 @@ func SolveAug(t *graph.Tree, weight []bool, k int, ids []uint64) (*AugResult, er
 	for v := range res.Out {
 		res.Out[v].OutNode = -1
 	}
-	activeMask := make([]bool, n)
-	for v := 0; v < n; v++ {
-		activeMask[v] = !weight[v]
-	}
-	for _, comp := range graph.InducedComponents(t, activeMask) {
-		levels := graph.ComputeLevels(comp.Tree, k)
-		compIDs := make([]uint64, len(comp.Nodes))
-		for i, v := range comp.Nodes {
-			compIDs[i] = ids[v]
-		}
-		ex, err := hierarchy.RunAnalytic(comp.Tree, levels, sched, compIDs)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range comp.Nodes {
-			res.Out[v].Active = ex.Out[i]
-			res.Rounds[v] = ex.Rounds[i]
-		}
+	active := graph.Mask(t, func(v int) bool { return !weight[v] })
+	err = hierarchy.RunAnalyticOn(t, active, sched, ids, func(v int, lab hierarchy.Label, round int) {
+		res.Out[v].Active = lab
+		res.Rounds[v] = round
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, comp := range graph.InducedComponents(t, weight) {
-		if err := solveAugWeightComponent(t, weight, k, comp, res); err != nil {
+		if err := solveAugWeightComponent(t, active, k, comp, res); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
 }
 
-func solveAugWeightComponent(t *graph.Tree, weight []bool, k int, comp *graph.Component, res *AugResult) error {
-	m := comp.Tree.N()
-	pinned := make([]bool, m)
-	activeOf := make([]int, m) // chosen active neighbor (original index), -1
-	for i := range activeOf {
-		activeOf[i] = -1
-	}
+func solveAugWeightComponent(t *graph.Tree, active []bool, k int, comp *graph.Component, res *AugResult) error {
+	pinned := make([]bool, comp.Tree.N())
 	for i, v := range comp.Nodes {
-		best := -1
-		for _, w := range t.NeighborsRaw(v) {
-			u := int(w)
-			if !weight[u] {
-				if best == -1 || res.Rounds[u] < res.Rounds[best] {
-					best = u
-				}
-			}
-		}
-		if best >= 0 {
-			pinned[i] = true
-			activeOf[i] = best
-		}
+		pinned[i] = hierarchy.FirstActive(t, v, active, res.Rounds) >= 0
 	}
 	sol, err := Solve(comp.Tree, k, pinned)
 	if err != nil {
 		return err
 	}
 	// Secondary assignment in reverse removal order: a node's orientation
-	// target always has a strictly larger removal sequence number, so
-	// processing by decreasing Seq resolves all copy dependencies.
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return sol.Seq[order[a]] > sol.Seq[order[b]] })
-	for _, i := range order {
+	// target leaves after it, so its secondary is already set.
+	for j := len(sol.Order) - 1; j >= 0; j-- {
+		i := int(sol.Order[j])
 		v := comp.Nodes[i]
 		res.Out[v].WLabel = sol.Out[i].Label
 		switch {
 		case pinned[i]:
-			// Rule 3: orient toward the chosen active node and copy it.
-			res.Out[v].OutNode = activeOf[i]
-			res.Out[v].Secondary = Secondary{Label: res.Out[activeOf[i]].Active}
-			res.Rounds[v] = maxInt(sol.Rounds[i], res.Rounds[activeOf[i]]+1)
+			// Rule 3: orient toward the first-terminating active neighbor
+			// and copy it.
+			u := hierarchy.FirstActive(t, v, active, res.Rounds)
+			res.Out[v].OutNode = u
+			res.Out[v].Secondary = Secondary{Label: res.Out[u].Active}
+			res.Rounds[v] = max(sol.Rounds[i], res.Rounds[u]+1)
 		case !sol.Out[i].Label.IsRake():
-			// Rule 5: compress nodes not adjacent to an active decline.
+			// Rule 5: compress nodes not adjacent to an active decline, and
+			// by rule 4 so must their target.
 			res.Out[v].Secondary = Secondary{Decline: true}
-			if sol.Out[i].OutNode >= 0 {
-				res.Out[v].OutNode = comp.Nodes[sol.Out[i].OutNode]
+			if o := sol.Out[i].OutNode; o >= 0 {
+				u := comp.Nodes[o]
+				if !res.Out[u].Secondary.Decline {
+					return fmt.Errorf("%w: declining compress node %d points at weight node %d, which copies %v",
+						ErrInfeasible, v, u, res.Out[u].Secondary)
+				}
+				res.Out[v].OutNode = u
 			}
 			res.Rounds[v] = sol.Rounds[i]
 		case sol.Out[i].OutNode < 0:
@@ -271,51 +210,33 @@ func solveAugWeightComponent(t *graph.Tree, weight []bool, k int, comp *graph.Co
 			res.Rounds[v] = sol.Rounds[i]
 		default:
 			// Rule 4: copy the secondary of the orientation target.
-			j := sol.Out[i].OutNode
-			u := comp.Nodes[j]
+			u := comp.Nodes[sol.Out[i].OutNode]
 			res.Out[v].OutNode = u
 			res.Out[v].Secondary = res.Out[u].Secondary
-			res.Rounds[v] = maxInt(sol.Rounds[i], res.Rounds[u]+1)
+			res.Rounds[v] = max(sol.Rounds[i], res.Rounds[u]+1)
 		}
 	}
 	return nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// VerifyAug checks the rules of Definition 67 under the interpretation
-// documented in DESIGN.md: (1) active components solve k-hierarchical
-// 2½-coloring; (2) weight components solve the k-hierarchical labeling
-// problem (with active-adjacent nodes treated as pinned); (3) every weight
-// node adjacent to an active node points at exactly one of them and copies
-// its output; (4) a weight node pointing at another weight node carries the
-// same secondary; (5) a compress node declines iff it is not adjacent to an
-// active node, and only compress nodes *originate* Decline (rake chains may
-// inherit it).
+// VerifyAug checks the rules of Definition 67, read as follows: (1) active
+// components solve k-hierarchical 2½-coloring; (2) weight components solve
+// the k-hierarchical labeling problem (with active-adjacent nodes treated as
+// pinned); (3) every weight node adjacent to an active node points at
+// exactly one of them and copies its output; (4) a weight node pointing at
+// another weight node carries the same secondary; (5) a compress node
+// declines iff it is not adjacent to an active node, and only compress nodes
+// *originate* Decline (rake chains may inherit it).
 func VerifyAug(t *graph.Tree, weight []bool, k int, out []AugOutput) error {
 	n := t.N()
 	if len(weight) != n || len(out) != n {
 		return fmt.Errorf("labeling: weight/out length mismatch")
 	}
-	activeMask := make([]bool, n)
-	for v := 0; v < n; v++ {
-		activeMask[v] = !weight[v]
-	}
 	hp := hierarchy.Problem{K: k, Variant: hierarchy.Coloring25}
-	for _, comp := range graph.InducedComponents(t, activeMask) {
-		levels := graph.ComputeLevels(comp.Tree, k)
-		labels := make([]hierarchy.Label, len(comp.Nodes))
-		for i, v := range comp.Nodes {
-			labels[i] = out[v].Active
-		}
-		if err := hp.Verify(comp.Tree, levels, labels); err != nil {
-			return fmt.Errorf("%w: active component: %v", ErrInvalid, err)
-		}
+	label := func(v int) hierarchy.Label { return out[v].Active }
+	active := graph.Mask(t, func(v int) bool { return !weight[v] })
+	if err := hp.VerifyOn(t, active, label); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	for _, comp := range graph.InducedComponents(t, weight) {
 		pinned := make([]bool, comp.Tree.N())

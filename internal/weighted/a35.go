@@ -2,7 +2,6 @@ package weighted
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/decomp"
@@ -22,7 +21,7 @@ const connectRound = 5
 // γ_i = ⌈scale^{α_i}⌉ where the α_i are the optimal log*-regime exponents of
 // Lemma 36 for x′ = log(Δ−d+1)/log(Δ−1). In the paper, scale = log* n; since
 // log* n is bounded by 5 for any graph that fits in a computer, experiments
-// sweep the scale parameter directly (substitution 5 in DESIGN.md).
+// sweep the scale parameter directly.
 //
 // Weight components follow the adapted fast-decomposition scheme: A-nodes
 // within distance 5 Connect; the rest of the component is peeled by
@@ -58,26 +57,16 @@ func SolveLogStar(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, sc
 	if err != nil {
 		return nil, err
 	}
-	gammas := make([]int, p.K-1)
-	for i, a := range alphas {
-		gammas[i] = int(math.Ceil(math.Pow(float64(scale), a)))
-		if gammas[i] < 1 {
-			gammas[i] = 1
-		}
-	}
 	res := &Result{
 		Out:    make([]Output, n),
 		Rounds: make([]int, n),
 	}
-	if err := runActiveComponents(t, inputs, p, ids, gammas, res); err != nil {
+	active := inputMask(t, inputs, InputActive)
+	if err := runActiveComponents(t, active, p, ids, hierarchy.Gammas(scale, alphas), res); err != nil {
 		return nil, err
 	}
-	weightMask := make([]bool, n)
-	for v := 0; v < n; v++ {
-		weightMask[v] = inputs[v] == InputWeight
-	}
-	for _, comp := range graph.InducedComponents(t, weightMask) {
-		if err := solveWeightComponent35(t, inputs, p, comp, res); err != nil {
+	for _, comp := range graph.InducedComponents(t, inputMask(t, inputs, InputWeight)) {
+		if err := solveWeightComponent35(t, active, p, comp, res); err != nil {
 			return nil, err
 		}
 	}
@@ -87,12 +76,12 @@ func SolveLogStar(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, sc
 	return res, nil
 }
 
-func solveWeightComponent35(t *graph.Tree, inputs []NodeInput, p Problem, comp *graph.Component, res *Result) error {
+func solveWeightComponent35(t *graph.Tree, active []bool, p Problem, comp *graph.Component, res *Result) error {
 	m := comp.Tree.N()
 	isA := make([]bool, m)
 	for i, v := range comp.Nodes {
 		for _, w := range t.NeighborsRaw(v) {
-			if inputs[w] == InputActive {
+			if active[w] {
 				isA[i] = true
 				break
 			}
@@ -103,11 +92,11 @@ func solveWeightComponent35(t *graph.Tree, inputs []NodeInput, p Problem, comp *
 	connect := dfree.ShortPathConnect(comp.Tree, isA, connectRound)
 	// Step 2: peel the component; the iteration of a node's layer assignment
 	// drives its termination round.
-	dec, err := decomp.Compute(comp.Tree, decomp.Options{Gamma: 1, Ell: 3})
+	dec, err := decomp.Compute(comp.Tree, nil, decomp.Options{Gamma: 1, Ell: 3})
 	if err != nil {
 		return err
 	}
-	declineRound := func(i int) int { return dec.Assign[i].Iter + connectRound }
+	declineRound := func(i int) int { return int(dec.Assign[i].Iter) + connectRound }
 	// Step 3: domains of the remaining A-nodes (multi-source BFS avoiding
 	// Connect nodes; ties to the lower-indexed A-node).
 	domain := make([]int, m) // component index of the owning A-node, -1 none
@@ -151,29 +140,8 @@ func solveWeightComponent35(t *graph.Tree, inputs []NodeInput, p Problem, comp *
 	// neighbor's output.
 	for _, root := range sources {
 		copySet := pruneDomain(comp.Tree, domain, root, p.D-2)
-		origRoot := comp.Nodes[root]
-		bestT := -1
-		var bestLabel hierarchy.Label
-		for _, w := range t.NeighborsRaw(origRoot) {
-			u := int(w)
-			if res.Out[u].Kind == KindActive {
-				if bestT == -1 || res.Rounds[u] < bestT {
-					bestT = res.Rounds[u]
-					bestLabel = res.Out[u].Label
-				}
-			}
-		}
-		if bestT == -1 {
-			return fmt.Errorf("weighted: A-node %d has no active neighbor", origRoot)
-		}
-		start := declineRound(root)
-		if bestT+1 > start {
-			start = bestT + 1
-		}
-		for i, depth := range copySetDepths(comp.Tree, root, copySet) {
-			v := comp.Nodes[i]
-			res.Out[v] = Output{Kind: KindCopy, Label: bestLabel}
-			res.Rounds[v] = start + depth
+		if err := floodCopySet(t, active, comp, root, copySet, declineRound(root), res); err != nil {
+			return err
 		}
 	}
 	return nil

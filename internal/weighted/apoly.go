@@ -2,7 +2,6 @@ package weighted
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dfree"
 	"repro/internal/graph"
@@ -25,9 +24,10 @@ type Result struct {
 // the output of the first active neighbor of their A-node to terminate.
 //
 // The execution is computed analytically: each node is charged the
-// termination round of the corresponding LOCAL algorithm (the hierarchy and
-// dfree layers are individually cross-validated against message-level
-// simulation in their own packages; see DESIGN.md "dual round accounting").
+// termination round of the corresponding LOCAL algorithm. The active side's
+// rounds come from hierarchy.RunAnalytic, which the hierarchy tests match
+// against the message-level Generic machine; the weight side's rounds come
+// from dfree.Solve and the Copy flood, which no simulation checks yet.
 func SolvePoly(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64) (*Result, error) {
 	if p.Variant != hierarchy.Coloring25 {
 		return nil, fmt.Errorf("weighted: SolvePoly requires the 2½ variant, got %v", p.Variant)
@@ -40,14 +40,7 @@ func SolvePoly(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64) (*Res
 	if err != nil {
 		return nil, err
 	}
-	gammas := make([]int, p.K-1)
-	for i, a := range alphas {
-		gammas[i] = int(math.Ceil(math.Pow(float64(t.N()), a)))
-		if gammas[i] < 1 {
-			gammas[i] = 1
-		}
-	}
-	return solveWithDFree(t, inputs, p, ids, gammas)
+	return solveWithDFree(t, inputs, p, ids, hierarchy.Gammas(t.N(), alphas))
 }
 
 // solveWithDFree is the shared A_poly skeleton, parameterized by the
@@ -61,20 +54,17 @@ func solveWithDFree(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, 
 		Out:    make([]Output, n),
 		Rounds: make([]int, n),
 	}
-	if err := runActiveComponents(t, inputs, p, ids, gammas, res); err != nil {
+	active := inputMask(t, inputs, InputActive)
+	if err := runActiveComponents(t, active, p, ids, gammas, res); err != nil {
 		return nil, err
 	}
 
 	// Weight components: d-free weight problem via Algorithm 𝒜.
-	weightMask := make([]bool, n)
-	for v := 0; v < n; v++ {
-		weightMask[v] = inputs[v] == InputWeight
-	}
-	for _, comp := range graph.InducedComponents(t, weightMask) {
+	for _, comp := range graph.InducedComponents(t, inputMask(t, inputs, InputWeight)) {
 		dfInputs := make([]dfree.Input, len(comp.Nodes))
 		for i, v := range comp.Nodes {
 			for _, w := range t.NeighborsRaw(v) {
-				if inputs[w] == InputActive {
+				if active[w] {
 					dfInputs[i] = dfree.InputA
 					break
 				}
@@ -96,7 +86,7 @@ func solveWithDFree(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, 
 			}
 		}
 		for root, set := range sol.CopySets {
-			if err := floodCopySet(t, comp, root, set, base, res); err != nil {
+			if err := floodCopySet(t, active, comp, root, set, base, res); err != nil {
 				return nil, err
 			}
 		}
@@ -104,14 +94,14 @@ func solveWithDFree(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, 
 	return res, nil
 }
 
+// inputMask marks the nodes of t whose input is in.
+func inputMask(t *graph.Tree, inputs []NodeInput, in NodeInput) []bool {
+	return graph.Mask(t, func(v int) bool { return inputs[v] == in })
+}
+
 // runActiveComponents runs the hierarchical generic algorithm on every
 // active component and records outputs and rounds.
-func runActiveComponents(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, gammas []int, res *Result) error {
-	n := t.N()
-	activeMask := make([]bool, n)
-	for v := 0; v < n; v++ {
-		activeMask[v] = inputs[v] == InputActive
-	}
+func runActiveComponents(t *graph.Tree, active []bool, p Problem, ids []uint64, gammas []int, res *Result) error {
 	sched, err := hierarchy.NewSchedule(hierarchy.Params{
 		Problem: hierarchy.Problem{K: p.K, Variant: p.Variant},
 		Gammas:  gammas,
@@ -119,50 +109,25 @@ func runActiveComponents(t *graph.Tree, inputs []NodeInput, p Problem, ids []uin
 	if err != nil {
 		return err
 	}
-	for _, comp := range graph.InducedComponents(t, activeMask) {
-		levels := graph.ComputeLevels(comp.Tree, p.K)
-		compIDs := make([]uint64, len(comp.Nodes))
-		for i, v := range comp.Nodes {
-			compIDs[i] = ids[v]
-		}
-		ex, err := hierarchy.RunAnalytic(comp.Tree, levels, sched, compIDs)
-		if err != nil {
-			return err
-		}
-		for i, v := range comp.Nodes {
-			res.Out[v] = Output{Kind: KindActive, Label: ex.Out[i]}
-			res.Rounds[v] = ex.Rounds[i]
-		}
-	}
-	return nil
+	return hierarchy.RunAnalyticOn(t, active, sched, ids, func(v int, lab hierarchy.Label, round int) {
+		res.Out[v] = Output{Kind: KindActive, Label: lab}
+		res.Rounds[v] = round
+	})
 }
 
 // floodCopySet assigns Copy outputs to a copy component: the A-node root
 // adopts the output of its first-terminating active neighbor and floods it
-// through the set (one hop per round).
-func floodCopySet(t *graph.Tree, comp *graph.Component, root int, set []int, base int, res *Result) error {
+// through the set (one hop per round), starting no earlier than base.
+func floodCopySet(t *graph.Tree, active []bool, comp *graph.Component, root int, set []int, base int, res *Result) error {
 	origRoot := comp.Nodes[root]
-	bestT := -1
-	var bestLabel hierarchy.Label
-	for _, w := range t.NeighborsRaw(origRoot) {
-		u := int(w)
-		if res.Out[u].Kind == KindActive {
-			if bestT == -1 || res.Rounds[u] < bestT {
-				bestT = res.Rounds[u]
-				bestLabel = res.Out[u].Label
-			}
-		}
-	}
-	if bestT == -1 {
+	u := hierarchy.FirstActive(t, origRoot, active, res.Rounds)
+	if u == -1 {
 		return fmt.Errorf("weighted: copy root %d has no active neighbor", origRoot)
 	}
-	start := base
-	if bestT+1 > start {
-		start = bestT + 1
-	}
+	start := max(base, res.Rounds[u]+1)
 	for v, depth := range copySetDepths(comp.Tree, root, set) {
 		orig := comp.Nodes[v]
-		res.Out[orig] = Output{Kind: KindCopy, Label: bestLabel}
+		res.Out[orig] = Output{Kind: KindCopy, Label: res.Out[u].Label}
 		res.Rounds[orig] = start + depth
 	}
 	return nil

@@ -54,38 +54,12 @@ func BuildInstanceFrom(p Problem, h *graph.Hierarchical, weightPerLevel int) (*I
 	if h.K != p.K {
 		return nil, fmt.Errorf("weighted: %d-level core for k=%d", h.K, p.K)
 	}
-	nActive := h.Tree.N()
-	b := graph.NewBuilder(nActive + (p.K-1)*weightPerLevel)
-	b.AddNodes(nActive)
-	for _, e := range h.Tree.Edges() {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			return nil, err
-		}
-	}
-	roots := make(map[int]int)
-	for level := 2; level <= p.K; level++ {
-		hosts := hostsOfLevel(h, level)
-		if len(hosts) == 0 {
-			continue
-		}
-		per := weightPerLevel / len(hosts)
-		if per < 1 {
-			per = 1
-		}
-		for _, host := range hosts {
-			root, err := attachBalanced(b, host, p.Delta, per)
-			if err != nil {
-				return nil, err
-			}
-			roots[root] = host
-		}
-	}
-	tree, err := b.Build()
+	tree, roots, err := graph.BuildWeightedHierarchical(h, p.Delta, weightPerLevel)
 	if err != nil {
 		return nil, err
 	}
 	inputs := make([]NodeInput, tree.N())
-	for v := nActive; v < tree.N(); v++ {
+	for v := h.Tree.N(); v < tree.N(); v++ {
 		inputs[v] = InputWeight
 	}
 	return &Instance{
@@ -110,37 +84,4 @@ func validateInstanceParams(p Problem, weightPerLevel int) error {
 		return fmt.Errorf("weighted: negative weight budget %d", weightPerLevel)
 	}
 	return nil
-}
-
-func hostsOfLevel(h *graph.Hierarchical, level int) []int {
-	var hosts []int
-	for _, path := range h.Paths[level-1] {
-		hosts = append(hosts, path...)
-	}
-	return hosts
-}
-
-// attachBalanced adds a balanced tree of `size` weight nodes with maximum
-// degree delta (the root keeps one port for the host) and connects its root
-// to host. It returns the root's index.
-func attachBalanced(b *graph.Builder, host, delta, size int) (int, error) {
-	if size < 1 {
-		return 0, fmt.Errorf("weighted: balanced attachment of size %d", size)
-	}
-	first := b.AddNodes(size)
-	if err := b.AddEdge(host, first); err != nil {
-		return 0, err
-	}
-	fan := delta - 1
-	next := first + 1
-	last := first + size - 1
-	for v := first; v <= last && next <= last; v++ {
-		for c := 0; c < fan && next <= last; c++ {
-			if err := b.AddEdge(v, next); err != nil {
-				return 0, err
-			}
-			next++
-		}
-	}
-	return first, nil
 }

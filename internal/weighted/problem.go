@@ -128,20 +128,10 @@ func (p Problem) Verify(t *graph.Tree, inputs []NodeInput, out []Output) error {
 		}
 	}
 	// Property 1: active components solve k-hierarchical Z-coloring.
-	activeMask := make([]bool, n)
-	for v := 0; v < n; v++ {
-		activeMask[v] = inputs[v] == InputActive
-	}
 	hp := hierarchy.Problem{K: p.K, Variant: p.Variant}
-	for _, comp := range graph.InducedComponents(t, activeMask) {
-		levels := graph.ComputeLevels(comp.Tree, p.K)
-		labels := make([]hierarchy.Label, len(comp.Nodes))
-		for i, v := range comp.Nodes {
-			labels[i] = out[v].Label
-		}
-		if err := hp.Verify(comp.Tree, levels, labels); err != nil {
-			return fmt.Errorf("%w: active component at node %d: %v", ErrInvalid, comp.Nodes[0], err)
-		}
+	label := func(v int) hierarchy.Label { return out[v].Label }
+	if err := hp.VerifyOn(t, inputMask(t, inputs, InputActive), label); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	// Properties 2-5 on weight nodes.
 	for v := 0; v < n; v++ {
