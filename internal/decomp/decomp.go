@@ -14,6 +14,10 @@
 // number of still-unassigned nodes decays geometrically with the iteration,
 // so the charge is O(1) node-averaged. This layer-proportional charge
 // substitutes for the Fast Decomposition Algorithm of [BBK+23a].
+//
+// The maximal runs of degree-2 nodes that Compute cuts into compress paths
+// come from graph.InducedPaths, the same maximal-path walk that yields the
+// Definition-8 phase segments of hierarchy.RunAnalytic.
 package decomp
 
 import (
@@ -176,7 +180,7 @@ func Compute(t *graph.Tree, pinned []bool, opts Options) (*Decomposition, error)
 			break
 		}
 		// Compress: maximal runs of alive degree-2 nodes.
-		for _, run := range degree2Runs(t, mid) {
+		for _, run := range graph.InducedPaths(t, mid) {
 			if len(run) < opts.Ell {
 				continue
 			}
@@ -203,60 +207,6 @@ func Compute(t *graph.Tree, pinned []bool, opts Options) (*Decomposition, error)
 		}
 	}
 	return d, nil
-}
-
-// degree2Runs returns the maximal chains of mid nodes, each ordered along
-// the chain.
-func degree2Runs(t *graph.Tree, mid func(v int) bool) [][]int {
-	seen := make([]bool, t.N())
-	var runs [][]int
-	for v := range seen {
-		if !mid(v) || seen[v] {
-			continue
-		}
-		runs = append(runs, collectRun(t, mid, walkToEnd(t, mid, v), seen))
-	}
-	return runs
-}
-
-func walkToEnd(t *graph.Tree, mid func(v int) bool, v int) int {
-	prev, cur := -1, v
-	for {
-		next := -1
-		for _, w := range t.NeighborsRaw(cur) {
-			u := int(w)
-			if u != prev && mid(u) {
-				next = u
-				break
-			}
-		}
-		if next == -1 {
-			return cur
-		}
-		prev, cur = cur, next
-	}
-}
-
-func collectRun(t *graph.Tree, mid func(v int) bool, end int, seen []bool) []int {
-	run := []int{end}
-	seen[end] = true
-	prev, cur := -1, end
-	for {
-		next := -1
-		for _, w := range t.NeighborsRaw(cur) {
-			u := int(w)
-			if u != prev && mid(u) && !seen[u] {
-				next = u
-				break
-			}
-		}
-		if next == -1 {
-			return run
-		}
-		seen[next] = true
-		run = append(run, next)
-		prev, cur = cur, next
-	}
 }
 
 // splitRun cuts a run of degree-2 nodes into chunks of length in [ell, 2ell]

@@ -18,6 +18,11 @@
 // declines its min(d, ·) heaviest children), everything else declines.
 // Lemma 40: the Copy set around v has size ≤ 6·|Û|^x with
 // x = log(Δ−1−d)/log(Δ−1).
+//
+// The package owns the two steps that the Π^{3.5} algorithm of Section 8.2
+// (weighted.SolveLogStar) shares with Algorithm 𝒜: ShortPathConnect, its
+// Connect rule, and Greedy, the one implementation of 𝒜*, which Section 8.2
+// runs on an A-node's domain instead of its ball to prune it for Lemma 52.
 package dfree
 
 import (
@@ -26,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -78,10 +82,10 @@ type Solution struct {
 	// Rounds is the uniform worst-case round count 3⌈log_{d+1} n⌉ + 3 every
 	// node spends collecting its ball before deciding.
 	Rounds int
-	// CopySets maps each A-node that output Copy to its maximal connected
-	// component of Copy nodes (the component contains exactly one A-node;
-	// Observation 39).
-	CopySets map[int][]int
+	// CopySets holds, in ascending order of their A-node, the maximal
+	// connected components of Copy nodes; each contains exactly one A-node,
+	// its Nodes[0] (Observation 39).
+	CopySets []CopySet
 }
 
 // Radius returns ⌈log_{d+1} n⌉, the ball radius parameter of Algorithm 𝒜
@@ -114,9 +118,8 @@ func Solve(t *graph.Tree, inputs []Input, d int) (*Solution, error) {
 	}
 	r := Radius(n, d)
 	sol := &Solution{
-		Out:      make([]Out, n),
-		Rounds:   3*r + 3,
-		CopySets: make(map[int][]int),
+		Out:    make([]Out, n),
+		Rounds: 3*r + 3,
 	}
 
 	// Step 1: Connect all nodes on a path of length <= 2r+2 between two
@@ -133,13 +136,13 @@ func Solve(t *graph.Tree, inputs []Input, d int) (*Solution, error) {
 
 	// Step 2: around each remaining A-node, run the greedy 𝒜* on its
 	// radius-(r+1) ball.
-	var ball ballScratch
+	var greedy Greedy
 	for v := 0; v < n; v++ {
 		if inputs[v] != InputA || sol.Out[v] == OutConnect {
 			continue
 		}
-		copySet := ball.greedyCopySet(t, v, r, d)
-		for _, u := range copySet {
+		set := greedy.Grow(t, v, d, r+1, nil)
+		for _, u := range set.Nodes {
 			if sol.Out[u] == OutConnect {
 				// Cannot happen: Connect regions and remaining A-balls are
 				// disjoint (any node on a short A–A path makes both A-nodes
@@ -148,7 +151,7 @@ func Solve(t *graph.Tree, inputs []Input, d int) (*Solution, error) {
 			}
 			sol.Out[u] = OutCopy
 		}
-		sol.CopySets[v] = copySet
+		sol.CopySets = append(sol.CopySets, set)
 	}
 
 	// Step 3: everything else declines.
@@ -172,8 +175,7 @@ func ShortPathConnect(t *graph.Tree, isA []bool, limit int) []bool {
 	const inf = math.MaxInt32
 	// down[v] = min distance from v to an A-node within the subtree of v
 	// (rooted at 0); up[v] = min distance via the parent direction.
-	parent := make([]int, n)
-	order := bfsOrder(t, 0, parent)
+	parent, order := t.RootAt(0)
 	down := make([]int, n)
 	up := make([]int, n)
 	for v := range down {
@@ -185,175 +187,138 @@ func ShortPathConnect(t *graph.Tree, isA []bool, limit int) []bool {
 		if isA[v] {
 			down[v] = 0
 		}
-		if p := parent[v]; p >= 0 && down[v]+1 < down[p] {
-			down[p] = down[v] + 1
+		if p := parent[v]; p >= 0 {
+			down[p] = min(down[p], down[v]+1)
 		}
 	}
 	for _, v := range order {
-		// Children of v get up = 1 + min(up[v], self-A, best sibling down).
-		type cand struct{ dist, via int }
-		best := []cand{{inf, -1}, {inf, -1}} // two smallest with distinct via
-		push := func(dist, via int) {
-			if dist < best[0].dist {
-				best[1] = best[0]
-				best[0] = cand{dist, via}
-			} else if dist < best[1].dist && via != best[0].via {
-				best[1] = cand{dist, via}
-			}
-		}
+		// d0 <= d1 are the distances to the nearest A-nodes in two distinct
+		// directions from v (a direction is "self", "parent side", or a
+		// child subtree), and via0 is the direction of d0.
+		d0, d1, via0 := up[v], inf, parent[v]
 		if isA[v] {
-			push(0, v)
+			d0, d1, via0 = 0, d0, v
 		}
-		if up[v] < inf {
-			push(up[v], -2)
-		}
-		for _, w := range t.NeighborsRaw(v) {
-			u := int(w)
-			if parent[u] == v && down[u] < inf {
-				push(down[u]+1, u)
-			}
-		}
-		for _, w := range t.NeighborsRaw(v) {
-			u := int(w)
-			if parent[u] != v {
+		for _, u := range t.NeighborsRaw(int(v)) {
+			if u == parent[v] {
 				continue
 			}
-			b := best[0]
-			if b.via == u {
-				b = best[1]
-			}
-			if b.dist < inf {
-				up[u] = b.dist + 1
+			if du := down[u] + 1; du < d0 {
+				d0, d1, via0 = du, d0, u
+			} else if du < d1 {
+				d1 = du
 			}
 		}
-	}
-	// Node v is on a short A–A path iff two distinct directions (a direction
-	// is "self", "parent side", or a child subtree) both reach A-nodes with
-	// total distance <= limit.
-	for v := 0; v < n; v++ {
-		var dists []int
-		if isA[v] {
-			dists = append(dists, 0)
-		}
-		if up[v] < inf {
-			dists = append(dists, up[v])
-		}
-		for _, w := range t.NeighborsRaw(v) {
-			u := int(w)
-			if parent[u] == v && down[u] < inf {
-				dists = append(dists, down[u]+1)
+		// v is on a short A–A path iff two directions reach A-nodes with
+		// total distance <= limit.
+		out[v] = d1 < inf && d0+d1 <= limit
+		// A child's up distance is 1 + the nearest A-node in any other
+		// direction.
+		for _, u := range t.NeighborsRaw(int(v)) {
+			if u == parent[v] {
+				continue
 			}
-		}
-		if len(dists) < 2 {
-			continue
-		}
-		sort.Ints(dists)
-		if dists[0]+dists[1] <= limit {
-			out[v] = true
+			if u == via0 {
+				up[u] = min(d1+1, inf)
+			} else {
+				up[u] = min(d0+1, inf)
+			}
 		}
 	}
 	return out
 }
 
-func bfsOrder(t *graph.Tree, root int, parent []int) []int {
-	n := t.N()
-	for i := range parent {
-		parent[i] = -1
-	}
-	order := make([]int, 0, n)
-	seen := make([]bool, n)
-	seen[root] = true
-	parent[root] = -1
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range t.NeighborsRaw(v) {
-			u := int(w)
-			if !seen[u] {
-				seen[u] = true
-				parent[u] = v
-				queue = append(queue, u)
-			}
-		}
-	}
-	return order
+// CopySet is a Copy component grown by the greedy: Nodes[0] is its A-node
+// and Depth[i] is the tree distance from Nodes[0] to Nodes[i]. Nodes are
+// listed in BFS order from the A-node.
+type CopySet struct {
+	Nodes []int
+	Depth []int
 }
 
-// ballScratch holds greedyCopySet's radius-(r+1) ball in flat arrays
-// indexed by BFS position. A node's children are contiguous in BFS order,
-// so the children of position i are positions first[i]..first[i+1]-1. Solve
-// reuses one scratch for every A-node.
-type ballScratch struct {
+// Greedy is 𝒜*, the Copy-set greedy of Lemma 37's proof, which the
+// reassignment of Lemma 52 (Section 8.2) reuses. The zero value is ready
+// to use. It keeps the region it last grew in flat arrays indexed by BFS
+// position, so one Greedy serves many A-nodes. A node's children are
+// contiguous in BFS order: the children of position i are positions
+// first[i]..first[i+1]-1.
+type Greedy struct {
 	node   []int32 // node[i] is the tree node at BFS position i
 	parent []int32 // parent[i] is the tree node of i's parent (-1 at the root)
 	depth  []int32
 	first  []int32
-	size   []int32 // subtree size, truncated at the ball boundary
+	size   []int32 // subtree size within the region
 	copies []int32 // the BFS positions of the Copy set, in greedy order
 	kids   []int32 // one Copy node's children, sorted heaviest first
 }
 
-// greedyCopySet runs 𝒜* (proof of Lemma 37) on the radius-(r+1) ball around
-// root: root is Copy; every Copy node declines its min(budget, #children)
-// heaviest children (whole subtrees), where budget is d for the root and d
-// (of at most Δ−1 children) below; the remaining children copy. The returned
-// set is the Copy component containing root, always within radius r.
-func (s *ballScratch) greedyCopySet(t *graph.Tree, root, r, d int) []int {
-	// Collect the ball of radius r+1 in BFS order with parent pointers.
-	s.node = append(s.node[:0], int32(root))
-	s.parent = append(s.parent[:0], -1)
-	s.depth = append(s.depth[:0], 0)
-	s.first = s.first[:0]
-	for i := 0; i < len(s.node); i++ {
-		s.first = append(s.first, int32(len(s.node)))
-		if int(s.depth[i]) == r+1 {
+// Grow runs the greedy from root and returns the Copy set it grows. The
+// region is every node within distance limit (limit >= 1) of root that a
+// path from root through nodes u with in(u) reaches; nil in admits every
+// node. Root copies; every Copy node declines the min(budget, c) heaviest
+// of its c children in the region, weighing a child by the size of its
+// subtree within the region, and the other children copy, except that
+// nodes at distance limit never copy. A declined child's whole subtree
+// stays out of the set. Children are sorted by weight starting from port
+// order, so equally heavy children decline in port order (for nodes with
+// more than 12 children the sort is not stable, and this can differ).
+//
+// Algorithm 𝒜 grows an A-node's radius-(r+1) ball (limit r+1, budget d);
+// Lemma 52 grows an A-node's domain (limit n, budget d−2).
+func (g *Greedy) Grow(t *graph.Tree, root, budget, limit int, in func(v int) bool) CopySet {
+	// Collect the region in BFS order with parent pointers.
+	g.node = append(g.node[:0], int32(root))
+	g.parent = append(g.parent[:0], -1)
+	g.depth = append(g.depth[:0], 0)
+	g.first = g.first[:0]
+	for i := 0; i < len(g.node); i++ {
+		g.first = append(g.first, int32(len(g.node)))
+		if int(g.depth[i]) == limit {
 			continue
 		}
-		v := s.node[i]
+		v := g.node[i]
 		for _, u := range t.NeighborsRaw(int(v)) {
-			if u == s.parent[i] {
+			if u == g.parent[i] || (in != nil && !in(int(u))) {
 				continue
 			}
-			s.node = append(s.node, u)
-			s.parent = append(s.parent, v)
-			s.depth = append(s.depth, s.depth[i]+1)
+			g.node = append(g.node, u)
+			g.parent = append(g.parent, v)
+			g.depth = append(g.depth, g.depth[i]+1)
 		}
 	}
-	s.first = append(s.first, int32(len(s.node)))
-	// Subtree sizes truncated at the ball boundary, children before parents.
-	s.size = slices.Grow(s.size[:0], len(s.node))[:len(s.node)]
-	for i := len(s.node) - 1; i >= 0; i-- {
+	g.first = append(g.first, int32(len(g.node)))
+	// Subtree sizes within the region, children before parents.
+	g.size = slices.Grow(g.size[:0], len(g.node))[:len(g.node)]
+	for i := len(g.node) - 1; i >= 0; i-- {
 		size := int32(1)
-		for _, c := range s.size[s.first[i]:s.first[i+1]] {
+		for _, c := range g.size[g.first[i]:g.first[i+1]] {
 			size += c
 		}
-		s.size[i] = size
+		g.size[i] = size
 	}
 	// Greedy descent; copies doubles as the BFS queue of Copy nodes.
-	s.copies = append(s.copies[:0], 0)
-	for q := 0; q < len(s.copies); q++ {
-		i := s.copies[q]
-		if int(s.depth[i]) >= r {
-			// Children would be at depth r+1 ∈ Û\U and must decline; the
-			// subtree-size argument of Lemma 37 guarantees Copy never needs
-			// to extend this deep, so simply stop.
+	g.copies = append(g.copies[:0], 0)
+	for q := 0; q < len(g.copies); q++ {
+		i := g.copies[q]
+		if int(g.depth[i]) >= limit-1 {
+			// Its children lie at distance limit and decline (in Algorithm
+			// 𝒜 they are Û\U; the subtree-size argument of Lemma 37 shows
+			// Copy never needs to reach them).
 			continue
 		}
-		s.kids = s.kids[:0]
-		for c := s.first[i]; c < s.first[i+1]; c++ {
-			s.kids = append(s.kids, c)
+		g.kids = g.kids[:0]
+		for c := g.first[i]; c < g.first[i+1]; c++ {
+			g.kids = append(g.kids, c)
 		}
-		slices.SortFunc(s.kids, func(a, b int32) int { return cmp.Compare(s.size[b], s.size[a]) })
-		declines := min(d, len(s.kids))
-		s.copies = append(s.copies, s.kids[declines:]...)
+		slices.SortFunc(g.kids, func(a, b int32) int { return cmp.Compare(g.size[b], g.size[a]) })
+		g.copies = append(g.copies, g.kids[min(budget, len(g.kids)):]...)
 	}
-	copySet := make([]int, len(s.copies))
-	for q, i := range s.copies {
-		copySet[q] = int(s.node[i])
+	set := CopySet{Nodes: make([]int, len(g.copies)), Depth: make([]int, len(g.copies))}
+	for q, i := range g.copies {
+		set.Nodes[q] = int(g.node[i])
+		set.Depth[q] = int(g.depth[i])
 	}
-	return copySet
+	return set
 }
 
 // Verify checks properties (1)-(3) of the d-free weight problem.

@@ -1,6 +1,7 @@
 package dfree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -161,13 +162,14 @@ func TestTwoFarANodesDontConnect(t *testing.T) {
 	if sol.Out[0] != OutCopy || sol.Out[n-1] != OutCopy {
 		t.Fatalf("far A-nodes output (%v, %v), want Copy", sol.Out[0], sol.Out[n-1])
 	}
-	if len(sol.CopySets) != 2 {
-		t.Fatalf("%d copy sets, want 2", len(sol.CopySets))
+	if len(sol.CopySets) != 2 || sol.CopySets[0].Nodes[0] != 0 || sol.CopySets[1].Nodes[0] != n-1 {
+		t.Fatalf("copy sets %v, want one rooted at 0, then one at %d", sol.CopySets, n-1)
 	}
 	// Observation 39: the two Copy components are disjoint and separated.
 	inSet := make(map[int]int)
-	for root, set := range sol.CopySets {
-		for _, v := range set {
+	for _, set := range sol.CopySets {
+		root := set.Nodes[0]
+		for _, v := range set.Nodes {
 			if other, ok := inSet[v]; ok && other != root {
 				t.Fatalf("node %d in two copy sets", v)
 			}
@@ -285,5 +287,113 @@ func TestSolveRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := Solve(tr, make([]Input, 3), 0); err == nil {
 		t.Error("d=0 accepted")
+	}
+}
+
+// TestGreedyProperties states Lemma 37's greedy 𝒜* without an oracle and
+// checks every Copy set Greedy.Grow returns on random trees, from every
+// root, in ball mode (in == nil, small limit; Algorithm 𝒜) and domain mode
+// (a random region, limit n; Lemma 52) and their mix: the root copies; the
+// set is connected through region parents; a Copy node below distance
+// limit−1 with c children in the region has exactly max(0, c−budget) Copy
+// children; no declined child's subtree in the region is smaller than a
+// copied sibling's; each depth is the tree distance from the root; and no
+// Copy node sits at distance limit.
+func TestGreedyProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	var trees []*graph.Tree
+	for _, c := range []int{2, 3, 5, 20} {
+		tr, err := graph.BuildGaltonWatson(70, c, uint64(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tr)
+	}
+	lad, err := graph.BuildLadder(70, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees = append(trees, lad)
+	var g Greedy
+	for ti, tr := range trees {
+		n := tr.N()
+		mask := make([]bool, n)
+		for v := range mask {
+			mask[v] = rng.Float64() < 0.7
+		}
+		for root := 0; root < n; root++ {
+			dist := tr.BFS(root)
+			for _, in := range []func(v int) bool{nil, func(v int) bool { return mask[v] }} {
+				// The region rooted at root: parent, children and subtree sizes.
+				parent := map[int]int{root: -1}
+				order := []int{root}
+				for i := 0; i < len(order); i++ {
+					v := order[i]
+					for _, w := range tr.NeighborsRaw(v) {
+						u := int(w)
+						if _, ok := parent[u]; !ok && (in == nil || in(u)) {
+							parent[u] = v
+							order = append(order, u)
+						}
+					}
+				}
+				for _, limit := range []int{1, 2, 3, 5, n} {
+					children := map[int][]int{}
+					size := map[int]int{}
+					for i := len(order) - 1; i >= 0; i-- {
+						v := order[i]
+						if dist[v] > limit {
+							continue
+						}
+						size[v]++
+						if p := parent[v]; p >= 0 {
+							size[p] += size[v]
+							children[p] = append(children[p], v)
+						}
+					}
+					for budget := 0; budget <= 3; budget++ {
+						set := g.Grow(tr, root, budget, limit, in)
+						where := fmt.Sprintf("tree %d root %d limit %d budget %d in=%v", ti, root, limit, budget, in != nil)
+						if len(set.Nodes) == 0 || set.Nodes[0] != root || len(set.Depth) != len(set.Nodes) {
+							t.Fatalf("%s: set %v does not start at the root", where, set)
+						}
+						copies := map[int]bool{}
+						for i, v := range set.Nodes {
+							if _, ok := size[v]; !ok || copies[v] {
+								t.Fatalf("%s: node %d outside the region or repeated", where, v)
+							}
+							if set.Depth[i] != dist[v] {
+								t.Fatalf("%s: node %d depth %d, tree distance %d", where, v, set.Depth[i], dist[v])
+							}
+							if v != root && (dist[v] >= limit || !copies[parent[v]]) {
+								t.Fatalf("%s: Copy node %d at distance %d, parent copies: %v", where, v, dist[v], copies[parent[v]])
+							}
+							copies[v] = true
+						}
+						for _, v := range set.Nodes {
+							if dist[v] >= limit-1 {
+								continue
+							}
+							kids := children[v]
+							minDeclined, maxCopied, copied := n+1, 0, 0
+							for _, c := range kids {
+								if copies[c] {
+									copied++
+									maxCopied = max(maxCopied, size[c])
+								} else {
+									minDeclined = min(minDeclined, size[c])
+								}
+							}
+							if copied != max(0, len(kids)-budget) {
+								t.Fatalf("%s: Copy node %d has %d Copy children of %d", where, v, copied, len(kids))
+							}
+							if minDeclined < maxCopied {
+								t.Fatalf("%s: Copy node %d declines a child of size %d but copies one of size %d", where, v, minDeclined, maxCopied)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -26,7 +26,10 @@
 //     Definition 8, which solvers and verifiers use instead of the
 //     construction levels;
 //   - InducedComponents (subgraph.go) — connected components of an induced
-//     subgraph, re-indexed as standalone Trees.
+//     subgraph, re-indexed as standalone Trees;
+//   - InducedPaths (subgraph.go) — the components of an induced subgraph
+//     whose components are paths, each listed along its path (compress
+//     runs and phase segments).
 //
 // Nodes are identified by dense indices 0..N-1. Indices are a property of the
 // *construction*, not of the LOCAL model; distributed identifiers are assigned
@@ -148,6 +151,28 @@ func (t *Tree) BFS(src int) []int {
 		}
 	}
 	return dist
+}
+
+// RootAt roots t at r: parent[v] is v's neighbor toward r (-1 at r) and
+// order lists the nodes in BFS order from r, so every node comes after its
+// parent and each node's children follow one another in port order.
+func (t *Tree) RootAt(r int) (parent, order []int32) {
+	n := t.N()
+	parent = make([]int32, n)
+	order = make([]int32, 0, n)
+	parent[r] = -1
+	order = append(order, int32(r))
+	for i := 0; i < len(order); i++ {
+		v := order[i]
+		for _, w := range t.NeighborsRaw(int(v)) {
+			if w == parent[v] {
+				continue
+			}
+			parent[w] = v
+			order = append(order, w)
+		}
+	}
+	return parent, order
 }
 
 // Eccentricity returns the maximum hop distance from v to any node.

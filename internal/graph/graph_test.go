@@ -242,42 +242,30 @@ func TestComputeLevelsAllAtMostKPlus1(t *testing.T) {
 	}
 }
 
-func TestLevelSets(t *testing.T) {
-	h, err := BuildHierarchical([]int{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	levels := ComputeLevels(h.Tree, 2)
-	sets := LevelSets(levels, 2)
-	total := 0
-	for _, s := range sets {
-		total += len(s)
-	}
-	if total != h.Tree.N() {
-		t.Fatalf("level sets cover %d of %d nodes", total, h.Tree.N())
-	}
-}
-
-func TestSameLevelPathsOnHierarchical(t *testing.T) {
+func TestInducedPathsOnHierarchical(t *testing.T) {
 	h, err := BuildHierarchical([]int{5, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	levels := ComputeLevels(h.Tree, 2)
-	paths, ok := SameLevelPaths(h.Tree, levels, 1)
-	if !ok {
-		t.Fatal("level-1 components are not paths")
-	}
+	paths := InducedPaths(h.Tree, func(v int) bool { return levels[v] == 1 })
 	// Each pendant path is one component; endpoints of the level-2 path may
 	// join level 1, possibly merging with their pendant paths.
 	if len(paths) < 4 {
 		t.Fatalf("got %d level-1 paths, want >= 4", len(paths))
 	}
+	covered := make([]int, h.Tree.N())
 	for _, p := range paths {
-		for i := 1; i < len(p); i++ {
-			if !h.Tree.HasEdge(p[i-1], p[i]) {
+		for i, v := range p {
+			covered[v]++
+			if i > 0 && !h.Tree.HasEdge(p[i-1], v) {
 				t.Fatalf("path ordering broken at %v", p)
 			}
+		}
+	}
+	for v, c := range covered {
+		if c > 1 || (c == 1) != (levels[v] == 1) {
+			t.Fatalf("node %d (level %d) lies on %d level-1 paths", v, levels[v], c)
 		}
 	}
 }

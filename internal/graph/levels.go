@@ -43,108 +43,3 @@ func ComputeLevels(t *Tree, k int) []int {
 	}
 	return level
 }
-
-// LevelSets groups node indices by level (1-based); LevelSets(levels, k)[i]
-// holds the nodes of level i+1, for i in 0..k.
-func LevelSets(levels []int, k int) [][]int {
-	sets := make([][]int, k+1)
-	for v, l := range levels {
-		sets[l-1] = append(sets[l-1], v)
-	}
-	return sets
-}
-
-// SameLevelPaths returns, for a given level l, the connected components of
-// the subgraph induced by nodes of level l, each as an ordered node sequence.
-// On the graphs of Definition 8 these components are always paths; if a
-// component is not a path the function still returns a DFS ordering of it and
-// sets ok=false.
-func SameLevelPaths(t *Tree, levels []int, l int) (paths [][]int, ok bool) {
-	ok = true
-	n := t.N()
-	seen := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if levels[v] != l || seen[v] {
-			continue
-		}
-		comp := collectComponent(t, levels, l, v, seen)
-		ordered, isPath := orderAsPath(t, levels, l, comp)
-		if !isPath {
-			ok = false
-		}
-		paths = append(paths, ordered)
-	}
-	return paths, ok
-}
-
-func collectComponent(t *Tree, levels []int, l, start int, seen []bool) []int {
-	var comp []int
-	stack := []int{start}
-	seen[start] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		comp = append(comp, v)
-		for _, w := range t.NeighborsRaw(v) {
-			if levels[w] == l && !seen[w] {
-				seen[w] = true
-				stack = append(stack, int(w))
-			}
-		}
-	}
-	return comp
-}
-
-// orderAsPath orders the nodes of a same-level component as a path if
-// possible.
-func orderAsPath(t *Tree, levels []int, l int, comp []int) ([]int, bool) {
-	if len(comp) == 1 {
-		return comp, true
-	}
-	inComp := make(map[int]bool, len(comp))
-	for _, v := range comp {
-		inComp[v] = true
-	}
-	sameLevelDeg := func(v int) (d int, nbs []int) {
-		for _, w := range t.NeighborsRaw(v) {
-			if levels[w] == l && inComp[int(w)] {
-				d++
-				nbs = append(nbs, int(w))
-			}
-		}
-		return d, nbs
-	}
-	// Find an endpoint (same-level degree 1).
-	end := -1
-	for _, v := range comp {
-		d, _ := sameLevelDeg(v)
-		if d > 2 {
-			return comp, false
-		}
-		if d == 1 && end == -1 {
-			end = v
-		}
-	}
-	if end == -1 {
-		// Cycle among same-level nodes: impossible in a tree, but be safe.
-		return comp, false
-	}
-	ordered := make([]int, 0, len(comp))
-	prev, cur := -1, end
-	for {
-		ordered = append(ordered, cur)
-		_, nbs := sameLevelDeg(cur)
-		next := -1
-		for _, w := range nbs {
-			if w != prev {
-				next = w
-				break
-			}
-		}
-		if next == -1 {
-			break
-		}
-		prev, cur = cur, next
-	}
-	return ordered, len(ordered) == len(comp)
-}

@@ -475,3 +475,141 @@ func FuzzInducedComponents(f *testing.F) {
 		checkComponentsAgainstOracle(t, "fuzz", tr, mask)
 	})
 }
+
+// oracleInducedPaths is the maximal-path walk as decomp.Compute first
+// wrote it for its compress runs, in three functions: one scan for unseen
+// kept nodes, one walk to an end and one walk back collecting the run.
+func oracleInducedPaths(t *Tree, keep func(v int) bool) [][]int {
+	seen := make([]bool, t.N())
+	var runs [][]int
+	for v := range seen {
+		if !keep(v) || seen[v] {
+			continue
+		}
+		runs = append(runs, oracleCollectRun(t, keep, oracleWalkToEnd(t, keep, v), seen))
+	}
+	return runs
+}
+
+func oracleWalkToEnd(t *Tree, keep func(v int) bool, v int) int {
+	prev, cur := -1, v
+	for {
+		next := -1
+		for _, w := range t.NeighborsRaw(cur) {
+			u := int(w)
+			if u != prev && keep(u) {
+				next = u
+				break
+			}
+		}
+		if next == -1 {
+			return cur
+		}
+		prev, cur = cur, next
+	}
+}
+
+func oracleCollectRun(t *Tree, keep func(v int) bool, end int, seen []bool) []int {
+	run := []int{end}
+	seen[end] = true
+	prev, cur := -1, end
+	for {
+		next := -1
+		for _, w := range t.NeighborsRaw(cur) {
+			u := int(w)
+			if u != prev && keep(u) && !seen[u] {
+				next = u
+				break
+			}
+		}
+		if next == -1 {
+			return run
+		}
+		seen[next] = true
+		run = append(run, next)
+		prev, cur = cur, next
+	}
+}
+
+// checkPathsAgainstOracle compares InducedPaths with the oracle on one
+// (tree, mask) input. Where every kept node has at most two kept neighbors
+// it also checks that the paths are the components of the kept subgraph,
+// each listed along its edges.
+func checkPathsAgainstOracle(t *testing.T, name string, tr *Tree, mask []bool) {
+	t.Helper()
+	keep := func(v int) bool { return mask[v] }
+	got := InducedPaths(tr, keep)
+	want := oracleInducedPaths(tr, keep)
+	if !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("%s: paths %v, oracle %v", name, got, want)
+	}
+	kept := 0
+	for v := range mask {
+		if !mask[v] {
+			continue
+		}
+		kept++
+		keptNbrs := 0
+		for _, w := range tr.NeighborsRaw(v) {
+			if mask[w] {
+				keptNbrs++
+			}
+		}
+		if keptNbrs > 2 {
+			return
+		}
+	}
+	if comps := InducedComponents(tr, mask); len(got) != len(comps) {
+		t.Fatalf("%s: %d paths for %d components", name, len(got), len(comps))
+	}
+	seen := make([]bool, tr.N())
+	for _, p := range got {
+		for i, v := range p {
+			if !mask[v] || seen[v] || (i > 0 && !tr.HasEdge(p[i-1], v)) {
+				t.Fatalf("%s: path %v is not a path of kept nodes", name, p)
+			}
+			seen[v] = true
+			kept--
+		}
+	}
+	if kept != 0 {
+		t.Fatalf("%s: %d kept nodes on no path", name, kept)
+	}
+}
+
+// TestInducedPathsMatchesOracle runs InducedPaths and the decomp walk on
+// random trees, as built and relabeled, keeping their degree-2 nodes (the
+// compress candidates of a first peel), and on paths and caterpillars under
+// random masks.
+func TestInducedPathsMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	r := splitmix{s: 71}
+	for trial := 0; trial < 200; trial++ {
+		tr := randomTree(rng, 1+rng.Intn(300))
+		if trial%2 == 1 {
+			tr = relabel(&r, tr)
+		}
+		deg2 := Mask(tr, func(v int) bool { return tr.Degree(v) == 2 })
+		checkPathsAgainstOracle(t, fmt.Sprintf("random tree %d", trial), tr, deg2)
+	}
+	for _, n := range []int{1, 2, 3, 10, 200} {
+		gw, err := BuildGaltonWatson(n, 2, uint64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPathsAgainstOracle(t, fmt.Sprintf("gw%d", n), relabel(&r, gw), Mask(gw, func(v int) bool { return gw.Degree(v) == 2 }))
+	}
+	path, err := BuildPath(120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := BuildCaterpillar(40, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for draw := 0; draw < 100; draw++ {
+		checkPathsAgainstOracle(t, fmt.Sprintf("path mask %d", draw), path, drawMask(rng, path.N(), draw))
+		checkPathsAgainstOracle(t, fmt.Sprintf("relabeled path mask %d", draw), relabel(&r, path), drawMask(rng, path.N(), draw))
+		checkPathsAgainstOracle(t, fmt.Sprintf("caterpillar mask %d", draw), cat, drawMask(rng, cat.N(), draw))
+	}
+}

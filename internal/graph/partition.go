@@ -113,7 +113,7 @@ func Partition(t *Tree, k int) *Layout {
 	if k < 1 {
 		k = 1
 	}
-	parent, order := rootAt(t, 0)
+	parent, order := t.RootAt(0)
 	size := subtreeSizes(t, parent, order)
 
 	best := &Layout{Perm: nil, Cuts: RangeCuts(n, k)}
@@ -140,27 +140,6 @@ func consider(t *Tree, best *Layout, perm []int32, k int) {
 		best.Cuts = cuts
 		best.BoundaryEdges = b
 	}
-}
-
-// rootAt computes the parent array and a top-down visit order of t rooted at
-// r (parent[r] = -1).
-func rootAt(t *Tree, r int) (parent, order []int32) {
-	n := t.N()
-	parent = make([]int32, n)
-	order = make([]int32, 0, n)
-	parent[r] = -1
-	order = append(order, int32(r))
-	for i := 0; i < len(order); i++ {
-		v := order[i]
-		for _, w := range t.NeighborsRaw(int(v)) {
-			if w == parent[v] {
-				continue
-			}
-			parent[w] = v
-			order = append(order, w)
-		}
-	}
-	return parent, order
 }
 
 // subtreeSizes computes the rooted subtree size of every node from a

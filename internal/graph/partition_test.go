@@ -142,7 +142,7 @@ func TestPartitionProperties(t *testing.T) {
 // interval of positions whose width is the subtree size.
 func TestPreorderSubtreeIntervals(t *testing.T) {
 	for name, tr := range partitionShapes(t) {
-		parent, order := rootAt(tr, 0)
+		parent, order := tr.RootAt(0)
 		size := subtreeSizes(tr, parent, order)
 		for _, heavyFirst := range []bool{false, true} {
 			perm := preorderPerm(tr, parent, size, heavyFirst)
@@ -226,7 +226,7 @@ func TestPermuteTree(t *testing.T) {
 		l := Partition(tr, 4)
 		perm := l.Perm
 		if perm == nil { // identity won; permute by a preorder anyway
-			parent, order := rootAt(tr, 0)
+			parent, order := tr.RootAt(0)
 			perm = preorderPerm(tr, parent, subtreeSizes(tr, parent, order), false)
 		}
 		pt := PermuteTree(tr, perm)

@@ -34,6 +34,47 @@ func Mask(t *Tree, keep func(v int) bool) []bool {
 	return mask
 }
 
+// InducedPaths returns the connected components of the subgraph of t
+// induced by the nodes with keep(v), each ordered along its path, in order
+// of their lowest-indexed node. Every kept node must have at most two kept
+// neighbors, so that each component is a path. A path starts at the end
+// reached by walking from its lowest-indexed node, always leaving through
+// the first port that leads to a kept node other than the one just left;
+// the walk back from that end lists the path.
+func InducedPaths(t *Tree, keep func(v int) bool) [][]int {
+	seen := make([]bool, t.N()) // on a path already
+	var paths [][]int
+	// step returns the first kept neighbor of cur other than prev, skipping
+	// seen nodes if skipSeen, or -1 if there is none.
+	step := func(prev, cur int, skipSeen bool) int {
+		for _, w := range t.NeighborsRaw(cur) {
+			if u := int(w); u != prev && keep(u) && !(skipSeen && seen[u]) {
+				return u
+			}
+		}
+		return -1
+	}
+	for v := range seen {
+		if seen[v] || !keep(v) {
+			continue
+		}
+		prev, end := -1, v
+		for next := step(prev, end, false); next != -1; next = step(prev, end, false) {
+			prev, end = end, next
+		}
+		path := []int{end}
+		seen[end] = true
+		prev, cur := -1, end
+		for next := step(prev, cur, true); next != -1; next = step(prev, cur, true) {
+			seen[next] = true
+			path = append(path, next)
+			prev, cur = cur, next
+		}
+		paths = append(paths, path)
+	}
+	return paths
+}
+
 // InducedComponents returns the connected components of the subgraph of t
 // induced by the nodes with mask[v] == true, in order of their
 // lowest-indexed node. Each component's nodes are indexed in BFS order from

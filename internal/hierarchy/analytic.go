@@ -207,52 +207,7 @@ func exemptRound(t *graph.Tree, levels []int, ex *Execution, decided []bool, v, 
 // activeSegments returns the maximal paths of undecided level-l nodes, each
 // ordered along the path.
 func activeSegments(t *graph.Tree, levels []int, decided []bool, l int) [][]int {
-	n := t.N()
-	seen := make([]bool, n)
-	var segs [][]int
-	activeDeg := func(v int) (d int, nbs [2]int) {
-		for _, w := range t.NeighborsRaw(v) {
-			u := int(w)
-			if levels[u] == l && !decided[u] {
-				if d < 2 {
-					nbs[d] = u
-				}
-				d++
-			}
-		}
-		return d, nbs
-	}
-	for v := 0; v < n; v++ {
-		if levels[v] != l || decided[v] || seen[v] {
-			continue
-		}
-		d, _ := activeDeg(v)
-		if d == 2 {
-			continue // interior; will be picked up from an endpoint
-		}
-		// Walk from the endpoint (or isolated node).
-		seg := []int{v}
-		seen[v] = true
-		prev, cur := -1, v
-		for {
-			dd, nbs := activeDeg(cur)
-			next := -1
-			for j := 0; j < dd && j < 2; j++ {
-				if nbs[j] != prev {
-					next = nbs[j]
-					break
-				}
-			}
-			if next == -1 {
-				break
-			}
-			seg = append(seg, next)
-			seen[next] = true
-			prev, cur = cur, next
-		}
-		segs = append(segs, seg)
-	}
-	return segs
+	return graph.InducedPaths(t, func(v int) bool { return levels[v] == l && !decided[v] })
 }
 
 // colorSegment 2-colors an ordered segment by parity of the distance to the

@@ -106,7 +106,7 @@ func TestGenericOnHierarchicalK3(t *testing.T) {
 
 func TestGenericOnRandomTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 12; trial++ {
+	for trial := 0; trial < 100; trial++ {
 		n := 10 + rng.Intn(120)
 		b := graph.NewBuilder(n)
 		b.AddNode()

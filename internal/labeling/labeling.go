@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/decomp"
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 // Label is an output label of the k-hierarchical labeling problem: rake
@@ -60,7 +61,7 @@ type Solution struct {
 	// Rounds[v] is the round at which v fixed its (primary) output; the
 	// solver charges a node γ+2 rounds per decomposition iteration, for a
 	// worst case of O(k · n^{1/k}).
-	Rounds []int
+	sim.Rounds
 	// Order is the decomposition's removal order. Every orientation target
 	// comes after its source, so walking Order backwards resolves all copy
 	// dependencies.

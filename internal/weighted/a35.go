@@ -2,7 +2,6 @@ package weighted
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/decomp"
 	"repro/internal/dfree"
@@ -28,10 +27,12 @@ const connectRound = 5
 // rake-and-compress (our substitute for [BBK+23a]'s Fast Decomposition
 // Algorithm, with a node's termination charged proportionally to its peeling
 // iteration — O(1) node-averaged by geometric decay); each remaining A-node
-// v owns a domain C(v) that is pruned to a Copy set C′(v) of size
-// O(|C(v)|^{x′}) by declining the d−2 heaviest children of every Copy node
-// (Lemma 52); Copy nodes wait for v's active neighbor and then flood its
-// output.
+// v owns a domain C(v), the weight nodes a multi-source BFS from the
+// remaining A-nodes assigns to it, which dfree.Greedy — Algorithm 𝒜's
+// greedy 𝒜*, grown over the domain instead of a ball — prunes to a Copy set
+// C′(v) of size O(|C(v)|^{x′}) by declining the d−2 heaviest children of
+// every Copy node (Lemma 52); Copy nodes wait for v's active neighbor and
+// then flood its output.
 func SolveLogStar(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, scale int) (*Result, error) {
 	if p.Variant != hierarchy.Coloring35 {
 		return nil, fmt.Errorf("weighted: SolveLogStar requires the 3½ variant, got %v", p.Variant)
@@ -65,8 +66,9 @@ func SolveLogStar(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, sc
 	if err := runActiveComponents(t, active, p, ids, hierarchy.Gammas(scale, alphas), res); err != nil {
 		return nil, err
 	}
+	var greedy dfree.Greedy
 	for _, comp := range graph.InducedComponents(t, inputMask(t, inputs, InputWeight)) {
-		if err := solveWeightComponent35(t, active, p, comp, res); err != nil {
+		if err := solveWeightComponent35(t, active, p, comp, &greedy, res); err != nil {
 			return nil, err
 		}
 	}
@@ -76,7 +78,7 @@ func SolveLogStar(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, sc
 	return res, nil
 }
 
-func solveWeightComponent35(t *graph.Tree, active []bool, p Problem, comp *graph.Component, res *Result) error {
+func solveWeightComponent35(t *graph.Tree, active []bool, p Problem, comp *graph.Component, greedy *dfree.Greedy, res *Result) error {
 	m := comp.Tree.N()
 	isA := make([]bool, m)
 	for i, v := range comp.Nodes {
@@ -100,24 +102,17 @@ func solveWeightComponent35(t *graph.Tree, active []bool, p Problem, comp *graph
 	// Step 3: domains of the remaining A-nodes (multi-source BFS avoiding
 	// Connect nodes; ties to the lower-indexed A-node).
 	domain := make([]int, m) // component index of the owning A-node, -1 none
+	var sources []int
 	for i := range domain {
 		domain[i] = -1
-	}
-	var sources []int
-	for i := 0; i < m; i++ {
 		if isA[i] && !connect[i] {
+			domain[i] = i
 			sources = append(sources, i)
 		}
 	}
-	sort.Ints(sources)
-	queue := make([]int, 0, m)
-	for _, s := range sources {
-		domain[s] = s
-		queue = append(queue, s)
-	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
+	queue := append(make([]int, 0, m), sources...)
+	for head := 0; head < len(queue); head++ {
+		i := queue[head]
 		for _, w := range comp.Tree.NeighborsRaw(i) {
 			j := int(w)
 			if domain[j] == -1 && !connect[j] {
@@ -136,71 +131,16 @@ func solveWeightComponent35(t *graph.Tree, active []bool, p Problem, comp *graph
 			res.Rounds[v] = declineRound(i)
 		}
 	}
-	// Step 4: per domain, prune to the Copy set C'(v) and flood the active
+	// Step 4: per domain, prune to the Copy set C'(v) (Lemma 52: every Copy
+	// node declines its d−2 heaviest children) and flood the active
 	// neighbor's output.
 	for _, root := range sources {
-		copySet := pruneDomain(comp.Tree, domain, root, p.D-2)
-		if err := floodCopySet(t, active, comp, root, copySet, declineRound(root), res); err != nil {
+		set := greedy.Grow(comp.Tree, root, p.D-2, m, func(v int) bool { return domain[v] == root })
+		if err := floodCopySet(t, active, comp, set, declineRound(root), res); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// pruneDomain performs the Lemma 52 reassignment on the domain of root:
-// starting from root (which must Copy), every Copy node declines its
-// `budget` heaviest children within the domain and keeps the rest as Copy,
-// yielding a Copy set whose fan-out is at most Δ−1−budget.
-func pruneDomain(t *graph.Tree, domain []int, root, budget int) []int {
-	if budget < 0 {
-		budget = 0
-	}
-	// BFS tree of the domain rooted at root.
-	parent := map[int]int{root: -1}
-	order := []int{root}
-	queue := []int{root}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		for _, w := range t.NeighborsRaw(i) {
-			j := int(w)
-			if domain[j] != domain[root] {
-				continue
-			}
-			if _, ok := parent[j]; !ok {
-				parent[j] = i
-				order = append(order, j)
-				queue = append(queue, j)
-			}
-		}
-	}
-	size := make(map[int]int, len(order))
-	children := make(map[int][]int, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		size[v]++
-		if p := parent[v]; p >= 0 {
-			size[p] += size[v]
-			children[p] = append(children[p], v)
-		}
-	}
-	copySet := []int{root}
-	frontier := []int{root}
-	for len(frontier) > 0 {
-		v := frontier[0]
-		frontier = frontier[1:]
-		kids := append([]int(nil), children[v]...)
-		sort.Slice(kids, func(a, b int) bool { return size[kids[a]] > size[kids[b]] })
-		drop := budget
-		if drop > len(kids) {
-			drop = len(kids)
-		}
-		for _, c := range kids[drop:] {
-			copySet = append(copySet, c)
-			frontier = append(frontier, c)
-		}
-	}
-	return copySet
 }
 
 // repairCopyBudget demotes Copy nodes that ended up with more than d

@@ -85,8 +85,8 @@ func solveWithDFree(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, 
 				res.Rounds[v] = base
 			}
 		}
-		for root, set := range sol.CopySets {
-			if err := floodCopySet(t, active, comp, root, set, base, res); err != nil {
+		for _, set := range sol.CopySets {
+			if err := floodCopySet(t, active, comp, set, base, res); err != nil {
 				return nil, err
 			}
 		}
@@ -115,45 +115,20 @@ func runActiveComponents(t *graph.Tree, active []bool, p Problem, ids []uint64, 
 	})
 }
 
-// floodCopySet assigns Copy outputs to a copy component: the A-node root
-// adopts the output of its first-terminating active neighbor and floods it
-// through the set (one hop per round), starting no earlier than base.
-func floodCopySet(t *graph.Tree, active []bool, comp *graph.Component, root int, set []int, base int, res *Result) error {
-	origRoot := comp.Nodes[root]
+// floodCopySet assigns Copy outputs to a copy component: its A-node adopts
+// the output of its first-terminating active neighbor and floods it through
+// the set (one hop per round), starting no earlier than base.
+func floodCopySet(t *graph.Tree, active []bool, comp *graph.Component, set dfree.CopySet, base int, res *Result) error {
+	origRoot := comp.Nodes[set.Nodes[0]]
 	u := hierarchy.FirstActive(t, origRoot, active, res.Rounds)
 	if u == -1 {
 		return fmt.Errorf("weighted: copy root %d has no active neighbor", origRoot)
 	}
 	start := max(base, res.Rounds[u]+1)
-	for v, depth := range copySetDepths(comp.Tree, root, set) {
+	for q, v := range set.Nodes {
 		orig := comp.Nodes[v]
 		res.Out[orig] = Output{Kind: KindCopy, Label: res.Out[u].Label}
-		res.Rounds[orig] = start + depth
+		res.Rounds[orig] = start + set.Depth[q]
 	}
 	return nil
-}
-
-// copySetDepths returns BFS depths from root within the given node set (all
-// in component indices).
-func copySetDepths(t *graph.Tree, root int, set []int) map[int]int {
-	inSet := make(map[int]bool, len(set))
-	for _, v := range set {
-		inSet[v] = true
-	}
-	depth := map[int]int{root: 0}
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range t.NeighborsRaw(v) {
-			u := int(w)
-			if inSet[u] {
-				if _, ok := depth[u]; !ok {
-					depth[u] = depth[v] + 1
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	return depth
 }
