@@ -146,17 +146,21 @@ func run(alg string, n, k, delta, d, scale int, seed uint64, parallel, shards in
 		if err != nil {
 			return err
 		}
+		split, err := inst.Split()
+		if err != nil {
+			return err
+		}
 		ids := sim.DefaultIDs(inst.Tree.N(), seed)
 		var sol *weighted.Result
 		if variant == hierarchy.Coloring25 {
-			sol, err = weighted.SolvePoly(inst.Tree, inst.Inputs, p, ids)
+			sol, err = weighted.SolvePoly(split, p, ids)
 		} else {
-			sol, err = weighted.SolveLogStar(inst.Tree, inst.Inputs, p, ids, scale)
+			sol, err = weighted.SolveLogStar(split, p, ids, scale)
 		}
 		if err != nil {
 			return err
 		}
-		if err := p.Verify(inst.Tree, inst.Inputs, sol.Out); err != nil {
+		if err := p.Verify(split, sol.Out); err != nil {
 			return err
 		}
 		return report(fmt.Sprintf("Π^%v_{Δ=%d,d=%d,k=%d}", variant, delta, d, k),

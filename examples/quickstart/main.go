@@ -46,12 +46,16 @@ func run() error {
 		return err
 	}
 
-	ids := sim.DefaultIDs(inst.Tree.N(), 42)
-	sol, err := weighted.SolvePoly(inst.Tree, inst.Inputs, p, ids)
+	split, err := inst.Split()
 	if err != nil {
 		return err
 	}
-	if err := p.Verify(inst.Tree, inst.Inputs, sol.Out); err != nil {
+	ids := sim.DefaultIDs(inst.Tree.N(), 42)
+	sol, err := weighted.SolvePoly(split, p, ids)
+	if err != nil {
+		return err
+	}
+	if err := p.Verify(split, sol.Out); err != nil {
 		return err
 	}
 

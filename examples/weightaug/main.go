@@ -29,12 +29,16 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		ids := sim.DefaultIDs(inst.Tree.N(), 9)
-		res, err := labeling.SolveAug(inst.Tree, inst.Weight, inst.K, ids)
+		split, err := inst.Split()
 		if err != nil {
 			return err
 		}
-		if err := labeling.VerifyAug(inst.Tree, inst.Weight, inst.K, res.Out); err != nil {
+		ids := sim.DefaultIDs(inst.Tree.N(), 9)
+		res, err := labeling.SolveAug(split, ids)
+		if err != nil {
+			return err
+		}
+		if err := labeling.VerifyAug(split, res.Out); err != nil {
 			return err
 		}
 		weightTotal, copying := 0, 0

@@ -251,12 +251,16 @@ func weighted25Spec(delta, d, k int) (*sweepSpec, error) {
 			if err != nil {
 				return sweepPoint{}, err
 			}
-			ids := sim.DefaultIDs(in.Tree.N(), seed)
-			sol, err := weighted.SolvePoly(in.Tree, in.Inputs, p, ids)
+			split, err := in.Split()
 			if err != nil {
 				return sweepPoint{}, err
 			}
-			if err := p.Verify(in.Tree, in.Inputs, sol.Out); err != nil {
+			ids := sim.DefaultIDs(in.Tree.N(), seed)
+			sol, err := weighted.SolvePoly(split, p, ids)
+			if err != nil {
+				return sweepPoint{}, err
+			}
+			if err := p.Verify(split, sol.Out); err != nil {
 				return sweepPoint{}, fmt.Errorf("n=%d: %w", target, err)
 			}
 			n := float64(in.Tree.N())
@@ -361,12 +365,16 @@ func weighted35Spec(delta, d, k, weightFactor int) (*sweepSpec, error) {
 			if err != nil {
 				return sweepPoint{}, err
 			}
-			ids := sim.DefaultIDs(in.Tree.N(), seed)
-			sol, err := weighted.SolveLogStar(in.Tree, in.Inputs, p, ids, T)
+			split, err := in.Split()
 			if err != nil {
 				return sweepPoint{}, err
 			}
-			if err := p.Verify(in.Tree, in.Inputs, sol.Out); err != nil {
+			ids := sim.DefaultIDs(in.Tree.N(), seed)
+			sol, err := weighted.SolveLogStar(split, p, ids, T)
+			if err != nil {
+				return sweepPoint{}, err
+			}
+			if err := p.Verify(split, sol.Out); err != nil {
 				return sweepPoint{}, fmt.Errorf("T=%d: %w", T, err)
 			}
 			avg := sol.NodeAveraged()
@@ -402,12 +410,16 @@ func weightAugmentedSpec(k, delta int) *sweepSpec {
 			if err != nil {
 				return sweepPoint{}, err
 			}
-			ids := sim.DefaultIDs(in.Tree.N(), seed)
-			sol, err := labeling.SolveAug(in.Tree, in.Weight, k, ids)
+			split, err := in.Split()
 			if err != nil {
 				return sweepPoint{}, err
 			}
-			if err := labeling.VerifyAug(in.Tree, in.Weight, k, sol.Out); err != nil {
+			ids := sim.DefaultIDs(in.Tree.N(), seed)
+			sol, err := labeling.SolveAug(split, ids)
+			if err != nil {
+				return sweepPoint{}, err
+			}
+			if err := labeling.VerifyAug(split, sol.Out); err != nil {
 				return sweepPoint{}, fmt.Errorf("n=%d: %w", target, err)
 			}
 			n := float64(in.Tree.N())

@@ -228,6 +228,13 @@ func (t *Tree) IsPathGraph() bool { return t.maxDeg <= 2 }
 // Validate checks the structural tree invariants: connected, acyclic
 // (m == n-1 together with connectivity), no self loops, no duplicate edges.
 func (t *Tree) Validate() error {
+	n := max(t.N(), 0)
+	return t.validateOn(make([]int32, n), make([]int32, n))
+}
+
+// validateOn is Validate on caller-owned scratch: mark and queue must have
+// room for N() entries; validateOn clears what it uses of mark.
+func (t *Tree) validateOn(mark, queue []int32) error {
 	n := t.N()
 	if n == 0 {
 		return ErrEmpty
@@ -238,8 +245,9 @@ func (t *Tree) Validate() error {
 	// mark[v] is 1 once the BFS from node 0 reaches v; the duplicate scan
 	// then stamps every neighbor of v with v+2, so one array serves both
 	// passes.
-	mark := make([]int32, n)
-	queue := make([]int32, 1, n)
+	mark = mark[:n]
+	clear(mark)
+	queue = append(queue[:0], 0)
 	mark[0] = 1
 	for i := 0; i < len(queue); i++ {
 		for _, w := range t.NeighborsRaw(int(queue[i])) {

@@ -564,6 +564,11 @@ func checkPathsAgainstOracle(t *testing.T, name string, tr *Tree, mask []bool) {
 	}
 	seen := make([]bool, tr.N())
 	for _, p := range got {
+		// The paths share one backing array; capping each at its length
+		// keeps an append to one from overwriting the next.
+		if cap(p) != len(p) {
+			t.Fatalf("%s: path %v has capacity %d", name, p, cap(p))
+		}
 		for i, v := range p {
 			if !mask[v] || seen[v] || (i > 0 && !tr.HasEdge(p[i-1], v)) {
 				t.Fatalf("%s: path %v is not a path of kept nodes", name, p)
@@ -611,5 +616,93 @@ func TestInducedPathsMatchesOracle(t *testing.T) {
 		checkPathsAgainstOracle(t, fmt.Sprintf("path mask %d", draw), path, drawMask(rng, path.N(), draw))
 		checkPathsAgainstOracle(t, fmt.Sprintf("relabeled path mask %d", draw), relabel(&r, path), drawMask(rng, path.N(), draw))
 		checkPathsAgainstOracle(t, fmt.Sprintf("caterpillar mask %d", draw), cat, drawMask(rng, cat.N(), draw))
+	}
+}
+
+// oracleComputeLevels is ComputeLevels as first written: an alive array,
+// int degrees, and every iteration scans all nodes for its batch and
+// appends it to a fresh slice.
+func oracleComputeLevels(t *Tree, k int) []int {
+	n := t.N()
+	level := make([]int, n)
+	deg := make([]int, n)
+	alive := make([]bool, n)
+	for v := 0; v < n; v++ {
+		deg[v] = t.Degree(v)
+		alive[v] = true
+	}
+	remaining := n
+	for i := 1; i <= k && remaining > 0; i++ {
+		var batch []int
+		for v := 0; v < n; v++ {
+			if alive[v] && deg[v] <= 2 {
+				batch = append(batch, v)
+			}
+		}
+		for _, v := range batch {
+			level[v] = i
+			alive[v] = false
+		}
+		remaining -= len(batch)
+		for _, v := range batch {
+			for _, w := range t.NeighborsRaw(v) {
+				if alive[w] {
+					deg[w]--
+				}
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		if alive[v] {
+			level[v] = k + 1
+		}
+	}
+	return level
+}
+
+// TestComputeLevelsMatchesOracle compares ComputeLevels with the scanning
+// peel on random, GW, ladder and hierarchical trees, as built and
+// relabeled, at k = 1..4 and at and past the depth where the peel removes
+// every node, including the one- and two-node trees.
+func TestComputeLevelsMatchesOracle(t *testing.T) {
+	type sample struct {
+		name string
+		tree *Tree
+	}
+	rng := rand.New(rand.NewSource(13))
+	var trees []sample
+	for _, n := range []int{1, 2, 3, 50, 400} {
+		trees = append(trees, sample{fmt.Sprintf("random%d", n), randomTree(rng, n)})
+	}
+	for _, n := range []int{1, 2, 300, 2000} {
+		gw, err := BuildGaltonWatson(n, 4, uint64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ladder, err := BuildLadder(n, uint64(n)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, sample{fmt.Sprintf("gw%d", n), gw}, sample{fmt.Sprintf("ladder%d", n), ladder})
+	}
+	for _, lengths := range [][]int{{3, 4}, {4, 7, 6}, {2, 3, 3, 4}} {
+		h, err := BuildHierarchical(lengths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, sample{fmt.Sprintf("hierarchical%v", lengths), h.Tree})
+	}
+	r := splitmix{s: 13}
+	for _, tc := range slices.Clone(trees) {
+		trees = append(trees, sample{tc.name + "-relabeled", relabel(&r, tc.tree)})
+	}
+	for _, tc := range trees {
+		depth := slices.Max(oracleComputeLevels(tc.tree, tc.tree.N()))
+		for _, k := range []int{1, 2, 3, 4, depth, depth + 1, depth + 3} {
+			got, want := ComputeLevels(tc.tree, k), oracleComputeLevels(tc.tree, k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s (n=%d) k=%d: levels %v, oracle %v", tc.name, tc.tree.N(), k, got, want)
+			}
+		}
 	}
 }

@@ -43,6 +43,15 @@ func Mask(t *Tree, keep func(v int) bool) []bool {
 // the walk back from that end lists the path.
 func InducedPaths(t *Tree, keep func(v int) bool) [][]int {
 	seen := make([]bool, t.N()) // on a path already
+	kept := 0
+	for v := range seen {
+		if keep(v) {
+			kept++
+		}
+	}
+	// Every path is a slice of one backing array that holds each kept node
+	// once, in path order.
+	all := make([]int, 0, kept)
 	var paths [][]int
 	// step returns the first kept neighbor of cur other than prev, skipping
 	// seen nodes if skipSeen, or -1 if there is none.
@@ -62,15 +71,16 @@ func InducedPaths(t *Tree, keep func(v int) bool) [][]int {
 		for next := step(prev, end, false); next != -1; next = step(prev, end, false) {
 			prev, end = end, next
 		}
-		path := []int{end}
+		start := len(all)
+		all = append(all, end)
 		seen[end] = true
 		prev, cur := -1, end
 		for next := step(prev, cur, true); next != -1; next = step(prev, cur, true) {
 			seen[next] = true
-			path = append(path, next)
+			all = append(all, next)
 			prev, cur = cur, next
 		}
-		paths = append(paths, path)
+		paths = append(paths, all[start:len(all):len(all)])
 	}
 	return paths
 }
@@ -121,11 +131,21 @@ func InducedComponents(t *Tree, mask []bool) []*Component {
 	offAll := make([]int32, masked+k)
 	nbrAll := make([]int32, 2*(masked-k))
 	comps := make([]*Component, k)
-	for c := range comps {
-		a, b := starts[c], masked
+	end := func(c int) int {
 		if c+1 < k {
-			b = starts[c+1]
+			return starts[c+1]
 		}
+		return masked
+	}
+	// Every component is validated on one mark/queue pair sized to the
+	// largest component.
+	largest := 0
+	for c := range comps {
+		largest = max(largest, end(c)-starts[c])
+	}
+	mark, queue := make([]int32, largest), make([]int32, largest)
+	for c := range comps {
+		a, b := starts[c], end(c)
 		off := offAll[a+c : b+c+1 : b+c+1]
 		nbr := nbrAll[2*(a-c) : 2*(b-c-1) : 2*(b-c-1)]
 		maxDeg := 0
@@ -151,7 +171,7 @@ func InducedComponents(t *Tree, mask []bool) []*Component {
 			maxDeg = max(maxDeg, int(next-off[i]))
 		}
 		tree := &Tree{off: off, nbr: nbr, m: b - a - 1, maxDeg: maxDeg}
-		if err := tree.Validate(); err != nil {
+		if err := tree.validateOn(mark, queue); err != nil {
 			// Unreachable: an induced connected subgraph of a tree is a tree.
 			panic(err)
 		}

@@ -117,17 +117,20 @@ func RunAnalytic(t *graph.Tree, levels []int, sched *Schedule, ids []uint64) (*E
 	return ex, nil
 }
 
-// RunAnalyticOn runs RunAnalytic on every active component of t: each
-// connected component of the subgraph induced by mask, with its own
-// Definition-8 levels and its nodes' IDs. It passes every masked node's
-// output and termination round to emit, by the node's index in t.
-func RunAnalyticOn(t *graph.Tree, mask []bool, sched *Schedule, ids []uint64, emit func(v int, out Label, round int)) error {
-	for _, comp := range graph.InducedComponents(t, mask) {
+// RunAnalyticOn runs RunAnalytic on every active component of s, with the
+// component's levels and its nodes' IDs. It passes every active node's
+// output and termination round to emit, by the node's index in s.Tree. It
+// fails on a Split whose levels are not at the schedule's depth k.
+func RunAnalyticOn(s *Split, sched *Schedule, ids []uint64, emit func(v int, out Label, round int)) error {
+	if err := s.depthError(sched.params.Problem.K); err != nil {
+		return err
+	}
+	for c, comp := range s.Active {
 		compIDs := make([]uint64, len(comp.Nodes))
 		for i, v := range comp.Nodes {
 			compIDs[i] = ids[v]
 		}
-		ex, err := RunAnalytic(comp.Tree, graph.ComputeLevels(comp.Tree, sched.params.Problem.K), sched, compIDs)
+		ex, err := RunAnalytic(comp.Tree, s.Levels[c], sched, compIDs)
 		if err != nil {
 			return err
 		}

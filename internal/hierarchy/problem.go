@@ -92,16 +92,19 @@ func violation(v int, format string, args ...any) error {
 	return fmt.Errorf("%w: node %d: %s", ErrInvalidOutput, v, fmt.Sprintf(format, args...))
 }
 
-// VerifyOn checks the labeling label(v) on every active component of t: each
-// connected component of the subgraph induced by mask, against its own
-// Definition-8 levels.
-func (p Problem) VerifyOn(t *graph.Tree, mask []bool, label func(v int) Label) error {
-	for _, comp := range graph.InducedComponents(t, mask) {
+// VerifyOn checks the labeling label(v) on every active component of s
+// against the component's levels. It fails on a Split whose levels are not
+// at depth p.K.
+func (p Problem) VerifyOn(s *Split, label func(v int) Label) error {
+	if err := s.depthError(p.K); err != nil {
+		return err
+	}
+	for c, comp := range s.Active {
 		out := make([]Label, len(comp.Nodes))
 		for i, v := range comp.Nodes {
 			out[i] = label(v)
 		}
-		if err := p.Verify(comp.Tree, graph.ComputeLevels(comp.Tree, p.K), out); err != nil {
+		if err := p.Verify(comp.Tree, s.Levels[c], out); err != nil {
 			return fmt.Errorf("active component at node %d: %w", comp.Nodes[0], err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/hierarchy"
 	"repro/internal/sim"
 )
 
@@ -217,17 +218,29 @@ func TestBuildAugInstance(t *testing.T) {
 	}
 }
 
+// mustAugSplit returns the Split of tr whose active nodes are the ones
+// weight leaves unmarked, at depth k, or fails the test.
+func mustAugSplit(t testing.TB, tr *graph.Tree, weight []bool, k int) *hierarchy.Split {
+	t.Helper()
+	s, err := hierarchy.NewSplit(tr, graph.Mask(tr, func(v int) bool { return !weight[v] }), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestSolveAugOnConstruction(t *testing.T) {
 	inst, err := BuildAugInstance(2, 5, []int{10, 12}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 3)
-	res, err := SolveAug(inst.Tree, inst.Weight, inst.K, ids)
+	split := mustAugSplit(t, inst.Tree, inst.Weight, inst.K)
+	res, err := SolveAug(split, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAug(inst.Tree, inst.Weight, inst.K, res.Out); err != nil {
+	if err := VerifyAug(split, res.Out); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -241,11 +254,12 @@ func TestLemma68LinearCopyFraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 7)
-	res, err := SolveAug(inst.Tree, inst.Weight, inst.K, ids)
+	split := mustAugSplit(t, inst.Tree, inst.Weight, inst.K)
+	res, err := SolveAug(split, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAug(inst.Tree, inst.Weight, inst.K, res.Out); err != nil {
+	if err := VerifyAug(split, res.Out); err != nil {
 		t.Fatal(err)
 	}
 	weightTotal, copying := 0, 0
@@ -278,7 +292,8 @@ func TestLemma69NodeAveragedScaling(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids := sim.DefaultIDs(inst.Tree.N(), 5)
-		res, err := SolveAug(inst.Tree, inst.Weight, inst.K, ids)
+		split := mustAugSplit(t, inst.Tree, inst.Weight, inst.K)
+		res, err := SolveAug(split, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +312,8 @@ func TestVerifyAugRejectsBrokenOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 2)
-	res, err := SolveAug(inst.Tree, inst.Weight, inst.K, ids)
+	split := mustAugSplit(t, inst.Tree, inst.Weight, inst.K)
+	res, err := SolveAug(split, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +331,7 @@ func TestVerifyAugRejectsBrokenOutputs(t *testing.T) {
 			break
 		}
 	}
-	if VerifyAug(inst.Tree, inst.Weight, inst.K, out) == nil {
+	if VerifyAug(split, out) == nil {
 		t.Error("wrong root secondary accepted")
 	}
 	// Rake node originating Decline: on an all-weight balanced tree the
@@ -326,17 +342,18 @@ func TestVerifyAugRejectsBrokenOutputs(t *testing.T) {
 	for v := range weight {
 		weight[v] = true
 	}
-	res, err = SolveAug(tr, weight, 2, sim.DefaultIDs(tr.N(), 2))
+	all := mustAugSplit(t, tr, weight, 2)
+	res, err = SolveAug(all, sim.DefaultIDs(tr.N(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAug(tr, weight, 2, res.Out); err != nil {
+	if err := VerifyAug(all, res.Out); err != nil {
 		t.Fatal(err)
 	}
 	for v := range res.Out {
 		res.Out[v].Secondary = Secondary{Decline: true}
 	}
-	err = VerifyAug(tr, weight, 2, res.Out)
+	err = VerifyAug(all, res.Out)
 	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "rake node 0 originates Decline") {
 		t.Errorf("all-Decline labeling: got %v, want rake node 0 originating Decline", err)
 	}
@@ -366,7 +383,8 @@ func TestSolveAugOutputsPassVerifyAug(t *testing.T) {
 		}
 		for _, k := range []int{2, 3} {
 			runs++
-			res, err := SolveAug(tr, weight, k, sim.DefaultIDs(n, seed))
+			split := mustAugSplit(t, tr, weight, k)
+			res, err := SolveAug(split, sim.DefaultIDs(n, seed))
 			if errors.Is(err, ErrInfeasible) {
 				infeasible++
 				continue
@@ -374,7 +392,7 @@ func TestSolveAugOutputsPassVerifyAug(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d k=%d: %v", trial, k, err)
 			}
-			if err := VerifyAug(tr, weight, k, res.Out); err != nil {
+			if err := VerifyAug(split, res.Out); err != nil {
 				t.Fatalf("trial %d k=%d (n=%d, density %.2f): %v", trial, k, n, density, err)
 			}
 		}
@@ -391,7 +409,8 @@ func TestAugCopyNodesWaitForActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 9)
-	res, err := SolveAug(inst.Tree, inst.Weight, inst.K, ids)
+	split := mustAugSplit(t, inst.Tree, inst.Weight, inst.K)
+	res, err := SolveAug(split, ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,6 +95,14 @@ func BuildAugInstanceFrom(k, delta int, h *graph.Hierarchical, weightPerLevel in
 	}, nil
 }
 
+// Split returns the instance cut into its active components, with their
+// Definition-8 levels at depth K, and its weight components: the one input
+// of SolveAug and VerifyAug. A sweep point builds it once and passes it to
+// both.
+func (in *AugInstance) Split() (*hierarchy.Split, error) {
+	return hierarchy.NewSplit(in.Tree, graph.Mask(in.Tree, func(v int) bool { return !in.Weight[v] }), in.K)
+}
+
 // validateAugParams holds the checks shared by BuildAugInstance and
 // BuildAugInstanceFrom.
 func validateAugParams(k, delta int) error {
@@ -114,7 +122,9 @@ type AugResult struct {
 }
 
 // SolveAug solves the k-hierarchical weight-augmented 2½-coloring
-// (Definition 67) with node-averaged complexity Θ(n^{1/k}) (Lemma 69):
+// (Definition 67), k = s.K, on the Split s of an instance (masked nodes
+// active, the rest weight) with node-averaged complexity Θ(n^{1/k})
+// (Lemma 69):
 // active components run the generic 2½ algorithm with γ_i = ⌈n^{1/k}⌉ (the
 // x = 1 exponents); weight components compute a k-hierarchical labeling with
 // the active-adjacent nodes pinned; secondary outputs then flow down the
@@ -128,10 +138,11 @@ type AugResult struct {
 // adjacent, when the weight side needs more than k decomposition
 // iterations, and when a declining compress node would point at a node that
 // copies a label (rule 4). Every output it returns passes VerifyAug.
-func SolveAug(t *graph.Tree, weight []bool, k int, ids []uint64) (*AugResult, error) {
+func SolveAug(s *hierarchy.Split, ids []uint64) (*AugResult, error) {
+	t, active, k := s.Tree, s.Mask, s.K
 	n := t.N()
-	if len(weight) != n || len(ids) != n {
-		return nil, fmt.Errorf("labeling: weight/ids length mismatch (n=%d)", n)
+	if len(ids) != n {
+		return nil, fmt.Errorf("labeling: %d ids for n=%d", len(ids), n)
 	}
 	alphas := make([]float64, k-1)
 	for i := range alphas {
@@ -151,15 +162,14 @@ func SolveAug(t *graph.Tree, weight []bool, k int, ids []uint64) (*AugResult, er
 	for v := range res.Out {
 		res.Out[v].OutNode = -1
 	}
-	active := graph.Mask(t, func(v int) bool { return !weight[v] })
-	err = hierarchy.RunAnalyticOn(t, active, sched, ids, func(v int, lab hierarchy.Label, round int) {
+	err = hierarchy.RunAnalyticOn(s, sched, ids, func(v int, lab hierarchy.Label, round int) {
 		res.Out[v].Active = lab
 		res.Rounds[v] = round
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, comp := range graph.InducedComponents(t, weight) {
+	for _, comp := range s.Weight {
 		if err := solveAugWeightComponent(t, active, k, comp, res); err != nil {
 			return nil, err
 		}
@@ -219,7 +229,8 @@ func solveAugWeightComponent(t *graph.Tree, active []bool, k int, comp *graph.Co
 	return nil
 }
 
-// VerifyAug checks the rules of Definition 67, read as follows: (1) active
+// VerifyAug checks the rules of Definition 67 on the Split s of an instance
+// (masked nodes active, the rest weight), k = s.K, read as follows: (1) active
 // components solve k-hierarchical 2½-coloring; (2) weight components solve
 // the k-hierarchical labeling problem (with active-adjacent nodes treated as
 // pinned); (3) every weight node adjacent to an active node points at
@@ -227,22 +238,22 @@ func solveAugWeightComponent(t *graph.Tree, active []bool, k int, comp *graph.Co
 // another weight node carries the same secondary; (5) a compress node
 // declines iff it is not adjacent to an active node, and only compress nodes
 // *originate* Decline (rake chains may inherit it).
-func VerifyAug(t *graph.Tree, weight []bool, k int, out []AugOutput) error {
+func VerifyAug(s *hierarchy.Split, out []AugOutput) error {
+	t, active, k := s.Tree, s.Mask, s.K
 	n := t.N()
-	if len(weight) != n || len(out) != n {
-		return fmt.Errorf("labeling: weight/out length mismatch")
+	if len(out) != n {
+		return fmt.Errorf("labeling: %d outputs for n=%d", len(out), n)
 	}
 	hp := hierarchy.Problem{K: k, Variant: hierarchy.Coloring25}
 	label := func(v int) hierarchy.Label { return out[v].Active }
-	active := graph.Mask(t, func(v int) bool { return !weight[v] })
-	if err := hp.VerifyOn(t, active, label); err != nil {
+	if err := hp.VerifyOn(s, label); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	for _, comp := range graph.InducedComponents(t, weight) {
+	for _, comp := range s.Weight {
 		pinned := make([]bool, comp.Tree.N())
 		for i, v := range comp.Nodes {
 			for _, w := range t.NeighborsRaw(v) {
-				if !weight[w] {
+				if active[w] {
 					pinned[i] = true
 				}
 			}
@@ -259,19 +270,19 @@ func VerifyAug(t *graph.Tree, weight []bool, k int, out []AugOutput) error {
 		}
 	}
 	for v := 0; v < n; v++ {
-		if !weight[v] {
+		if active[v] {
 			continue
 		}
 		adjActive := false
 		for _, w := range t.NeighborsRaw(v) {
-			if !weight[w] {
+			if active[w] {
 				adjActive = true
 			}
 		}
 		target := out[v].OutNode
 		if adjActive {
 			// Rule 3.
-			if target < 0 || weight[target] || !t.HasEdge(v, target) {
+			if target < 0 || !active[target] || !t.HasEdge(v, target) {
 				return fmt.Errorf("%w: active-adjacent weight node %d does not point at an active neighbor",
 					ErrInvalid, v)
 			}
@@ -286,7 +297,7 @@ func VerifyAug(t *graph.Tree, weight []bool, k int, out []AugOutput) error {
 			return fmt.Errorf("%w: compress node %d without active neighbor must decline", ErrInvalid, v)
 		}
 		// Rule 4.
-		if target >= 0 && weight[target] && out[v].Secondary != out[target].Secondary {
+		if target >= 0 && !active[target] && out[v].Secondary != out[target].Secondary {
 			return fmt.Errorf("%w: weight node %d secondary %v != target %d secondary %v",
 				ErrInvalid, v, out[v].Secondary, target, out[target].Secondary)
 		}

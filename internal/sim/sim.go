@@ -207,56 +207,66 @@ func reverseSlots(t *graph.Tree) []int32 {
 }
 
 // DefaultIDs produces n distinct pseudo-random 63-bit identifiers from a
-// seed, deterministic across runs (splitmix64 stream with collision
-// avoidance; collisions at these sizes are practically impossible but are
-// handled anyway).
+// seed, deterministic across runs: draw t of the splitmix64 stream is
+// mix(seed + t·γ) for t = 1, 2, ..., its top 63 bits are the ID, and a draw
+// that would repeat an earlier ID or issue 0 is skipped (see skipDraw).
+// Skips are practically impossible at these sizes, but handled anyway.
 func DefaultIDs(n int, seed uint64) []uint64 {
 	ids := make([]uint64, n)
-	used := newIDSet(n)
 	s := seed
-	for i := 0; i < n; i++ {
-		for {
-			s += 0x9e3779b97f4a7c15
-			z := s
-			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-			z ^= z >> 31
-			z >>= 1 // keep IDs in 63 bits
-			if z != 0 && used.insert(z) {
-				ids[i] = z
-				break
-			}
+	for i, t := 0, uint64(1); i < n; t++ {
+		s += gamma
+		if z := mix(s); !skipDraw(z, seed, t) {
+			ids[i] = z >> 1
+			i++
 		}
 	}
 	return ids
 }
 
-// idSet is an open-addressed, linearly probed set of IDs. 0 marks an empty
-// slot, which is safe because DefaultIDs never issues 0. Its length is a
-// power of two at least twice the number of IDs it will hold.
-type idSet []uint64
+// splitmix64's stream increment γ and the two multipliers of its
+// finalizer, each with its inverse mod 2^64 (all three are odd).
+const (
+	gamma      = 0x9e3779b97f4a7c15
+	gammaInv   = 0xf1de83e19937733d
+	mixMul1    = 0xbf58476d1ce4e5b9
+	mixMul1Inv = 0x96de1b173f119089
+	mixMul2    = 0x94d049bb133111eb
+	mixMul2Inv = 0x319642b2d24d8ec3
+)
 
-func newIDSet(n int) idSet {
-	size := 1
-	for size < 2*n {
-		size <<= 1
-	}
-	return make(idSet, size)
+// mix is splitmix64's finalizer, a bijection on uint64.
+func mix(z uint64) uint64 {
+	z = (z ^ z>>30) * mixMul1
+	z = (z ^ z>>27) * mixMul2
+	return z ^ z>>31
 }
 
-// insert adds z and reports whether it was absent. The IDs are splitmix64
-// outputs, so their low bits already index the table uniformly.
-func (s idSet) insert(z uint64) bool {
-	mask := uint64(len(s) - 1)
-	for i := z & mask; ; i = (i + 1) & mask {
-		switch s[i] {
-		case 0:
-			s[i] = z
-			return true
-		case z:
-			return false
-		}
-	}
+// mixInverse inverts mix step by step: z ^ z>>s with 3s >= 64 is undone by
+// z ^ z>>s ^ z>>2s, and each multiplication by its inverse.
+func mixInverse(z uint64) uint64 {
+	z ^= z>>31 ^ z>>62
+	z *= mixMul2Inv
+	z ^= z>>27 ^ z>>54
+	z *= mixMul1Inv
+	return z ^ z>>30 ^ z>>60
+}
+
+// partnerIndex returns the stream index t′ of the draw whose 64-bit value
+// is z^1, the only other value with z's top 63 bits: mix is a bijection, so
+// that draw has s = mixInverse(z^1), and s = seed + t′·γ gives
+// t′ = (s − seed)·γ⁻¹ mod 2^64.
+func partnerIndex(z, seed uint64) uint64 {
+	return (mixInverse(z^1) - seed) * gammaInv
+}
+
+// skipDraw reports whether draw t (t >= 1) of the stream from seed, with
+// 64-bit value z, issues no ID: its 63-bit value is 0, or its partner is an
+// earlier draw, t′ in [1, t), which issued the same ID. That partner was
+// itself issued, since its value is not 0 and its own partner, draw t, came
+// later, so this is exactly the check a set of the issued IDs would make.
+func skipDraw(z, seed, t uint64) bool {
+	return z>>1 == 0 || partnerIndex(z, seed)-1 < t-1
 }
 
 // SequentialIDs returns IDs 1..n (useful for adversarial/parity tests).

@@ -33,7 +33,7 @@ const connectRound = 5
 // C′(v) of size O(|C(v)|^{x′}) by declining the d−2 heaviest children of
 // every Copy node (Lemma 52); Copy nodes wait for v's active neighbor and
 // then flood its output.
-func SolveLogStar(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, scale int) (*Result, error) {
+func SolveLogStar(s *hierarchy.Split, p Problem, ids []uint64, scale int) (*Result, error) {
 	if p.Variant != hierarchy.Coloring35 {
 		return nil, fmt.Errorf("weighted: SolveLogStar requires the 3½ variant, got %v", p.Variant)
 	}
@@ -43,9 +43,10 @@ func SolveLogStar(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, sc
 	if scale < 1 {
 		return nil, fmt.Errorf("weighted: scale %d < 1", scale)
 	}
+	t, active := s.Tree, s.Mask
 	n := t.N()
-	if len(inputs) != n || len(ids) != n {
-		return nil, fmt.Errorf("weighted: inputs/ids length mismatch (n=%d)", n)
+	if len(ids) != n {
+		return nil, fmt.Errorf("weighted: %d ids for n=%d", len(ids), n)
 	}
 	xPrime, err := landscape.EfficiencyXPrime(p.Delta, p.D)
 	if err != nil {
@@ -62,17 +63,16 @@ func SolveLogStar(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, sc
 		Out:    make([]Output, n),
 		Rounds: make([]int, n),
 	}
-	active := inputMask(t, inputs, InputActive)
-	if err := runActiveComponents(t, active, p, ids, hierarchy.Gammas(scale, alphas), res); err != nil {
+	if err := runActiveComponents(s, p, ids, hierarchy.Gammas(scale, alphas), res); err != nil {
 		return nil, err
 	}
 	var greedy dfree.Greedy
-	for _, comp := range graph.InducedComponents(t, inputMask(t, inputs, InputWeight)) {
+	for _, comp := range s.Weight {
 		if err := solveWeightComponent35(t, active, p, comp, &greedy, res); err != nil {
 			return nil, err
 		}
 	}
-	if err := repairCopyBudget(t, inputs, p, res); err != nil {
+	if err := repairCopyBudget(t, active, p, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -148,10 +148,10 @@ func solveWeightComponent35(t *graph.Tree, active []bool, p Problem, comp *graph
 // Copy node (possible only at domain boundaries in irregular instances;
 // never on the paper's constructions). Demoting a weight node that sits next
 // to an active node would violate property 2, so that case is an error.
-func repairCopyBudget(t *graph.Tree, inputs []NodeInput, p Problem, res *Result) error {
+func repairCopyBudget(t *graph.Tree, active []bool, p Problem, res *Result) error {
 	adjActive := func(v int) bool {
 		for _, w := range t.NeighborsRaw(v) {
-			if inputs[w] == InputActive {
+			if active[w] {
 				return true
 			}
 		}

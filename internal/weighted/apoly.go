@@ -28,7 +28,7 @@ type Result struct {
 // rounds come from hierarchy.RunAnalytic, which the hierarchy tests match
 // against the message-level Generic machine; the weight side's rounds come
 // from dfree.Solve and the Copy flood, which no simulation checks yet.
-func SolvePoly(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64) (*Result, error) {
+func SolvePoly(s *hierarchy.Split, p Problem, ids []uint64) (*Result, error) {
 	if p.Variant != hierarchy.Coloring25 {
 		return nil, fmt.Errorf("weighted: SolvePoly requires the 2½ variant, got %v", p.Variant)
 	}
@@ -40,27 +40,21 @@ func SolvePoly(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return solveWithDFree(t, inputs, p, ids, hierarchy.Gammas(t.N(), alphas))
-}
-
-// solveWithDFree is the shared A_poly skeleton, parameterized by the
-// active-side γ values.
-func solveWithDFree(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, gammas []int) (*Result, error) {
+	t, active := s.Tree, s.Mask
 	n := t.N()
-	if len(inputs) != n || len(ids) != n {
-		return nil, fmt.Errorf("weighted: inputs/ids length mismatch (n=%d)", n)
+	if len(ids) != n {
+		return nil, fmt.Errorf("weighted: %d ids for n=%d", len(ids), n)
 	}
 	res := &Result{
 		Out:    make([]Output, n),
 		Rounds: make([]int, n),
 	}
-	active := inputMask(t, inputs, InputActive)
-	if err := runActiveComponents(t, active, p, ids, gammas, res); err != nil {
+	if err := runActiveComponents(s, p, ids, hierarchy.Gammas(n, alphas), res); err != nil {
 		return nil, err
 	}
 
 	// Weight components: d-free weight problem via Algorithm 𝒜.
-	for _, comp := range graph.InducedComponents(t, inputMask(t, inputs, InputWeight)) {
+	for _, comp := range s.Weight {
 		dfInputs := make([]dfree.Input, len(comp.Nodes))
 		for i, v := range comp.Nodes {
 			for _, w := range t.NeighborsRaw(v) {
@@ -94,14 +88,9 @@ func solveWithDFree(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, 
 	return res, nil
 }
 
-// inputMask marks the nodes of t whose input is in.
-func inputMask(t *graph.Tree, inputs []NodeInput, in NodeInput) []bool {
-	return graph.Mask(t, func(v int) bool { return inputs[v] == in })
-}
-
 // runActiveComponents runs the hierarchical generic algorithm on every
 // active component and records outputs and rounds.
-func runActiveComponents(t *graph.Tree, active []bool, p Problem, ids []uint64, gammas []int, res *Result) error {
+func runActiveComponents(s *hierarchy.Split, p Problem, ids []uint64, gammas []int, res *Result) error {
 	sched, err := hierarchy.NewSchedule(hierarchy.Params{
 		Problem: hierarchy.Problem{K: p.K, Variant: p.Variant},
 		Gammas:  gammas,
@@ -109,7 +98,7 @@ func runActiveComponents(t *graph.Tree, active []bool, p Problem, ids []uint64, 
 	if err != nil {
 		return err
 	}
-	return hierarchy.RunAnalyticOn(t, active, sched, ids, func(v int, lab hierarchy.Label, round int) {
+	return hierarchy.RunAnalyticOn(s, sched, ids, func(v int, lab hierarchy.Label, round int) {
 		res.Out[v] = Output{Kind: KindActive, Label: lab}
 		res.Rounds[v] = round
 	})

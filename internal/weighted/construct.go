@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/hierarchy"
 )
 
 // Instance is a concrete input for Π^Z_{Δ,d,k}: a tree plus Active/Weight
@@ -22,6 +23,12 @@ type Instance struct {
 
 // NumActive returns the number of active nodes.
 func (in *Instance) NumActive() int { return in.Hier.Tree.N() }
+
+// Split returns NewSplit of the instance at its problem's depth k. A sweep
+// point builds it once and passes it to the solver and the verifier.
+func (in *Instance) Split() (*hierarchy.Split, error) {
+	return NewSplit(in.Tree, in.Inputs, in.Problem.K)
+}
 
 // BuildInstance builds the weighted lower-bound construction of
 // Definition 25 (Figure 4): the k-hierarchical lower-bound graph with path

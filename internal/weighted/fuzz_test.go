@@ -16,6 +16,7 @@ func TestVerifierTotalOnGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	split := mustSplit(t, inst.Tree, inst.Inputs, p.K)
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 300; trial++ {
 		out := make([]Output, inst.Tree.N())
@@ -25,7 +26,7 @@ func TestVerifierTotalOnGarbage(t *testing.T) {
 				Label: hierarchy.Label(rng.Intn(9)),
 			}
 		}
-		err := p.Verify(inst.Tree, inst.Inputs, out) // must not panic
+		err := p.Verify(split, out) // must not panic
 		// An active node with a weight kind (or vice versa) must be caught.
 		broken := false
 		for v := range out {
@@ -51,14 +52,15 @@ func TestVerifierCatchesAllDecliningRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 7)
-	res, err := SolvePoly(inst.Tree, inst.Inputs, p, ids)
+	split := mustSplit(t, inst.Tree, inst.Inputs, p.K)
+	res, err := SolvePoly(split, p, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for root := range inst.WeightRoots {
 		out := append([]Output(nil), res.Out...)
 		out[root] = Output{Kind: KindDecline}
-		if p.Verify(inst.Tree, inst.Inputs, out) == nil {
+		if p.Verify(split, out) == nil {
 			t.Fatalf("declining root %d accepted", root)
 		}
 	}
@@ -73,11 +75,12 @@ func TestSolveLogStarDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 3)
-	a, err := SolveLogStar(inst.Tree, inst.Inputs, p, ids, 16)
+	split := mustSplit(t, inst.Tree, inst.Inputs, p.K)
+	a, err := SolveLogStar(split, p, ids, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveLogStar(inst.Tree, inst.Inputs, p, ids, 16)
+	b, err := SolveLogStar(split, p, ids, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,8 @@ func TestWeighted35CopySetShrinks(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids := sim.DefaultIDs(inst.Tree.N(), 5)
-		res, err := SolveLogStar(inst.Tree, inst.Inputs, p, ids, 8)
+		split := mustSplit(t, inst.Tree, inst.Inputs, p.K)
+		res, err := SolveLogStar(split, p, ids, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,6 +19,8 @@ import (
 // moved onto dfree.Greedy: each domain is pruned by its own map-based BFS
 // (oraclePruneDomain) and the flood recomputes the Copy set's depths with a
 // second map-based BFS (oracleCopySetDepths). It carries one marked edit.
+// It also keeps the input masks and the active-component loop that
+// SolveLogStar now reads from a hierarchy.Split (oracleRunActiveComponents).
 func oracleSolveLogStar(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, scale int) (*Result, error) {
 	n := t.N()
 	xPrime, err := landscape.EfficiencyXPrime(p.Delta, p.D)
@@ -36,19 +38,47 @@ func oracleSolveLogStar(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint
 		Out:    make([]Output, n),
 		Rounds: make([]int, n),
 	}
-	active := inputMask(t, inputs, InputActive)
-	if err := runActiveComponents(t, active, p, ids, hierarchy.Gammas(scale, alphas), res); err != nil {
+	active := graph.Mask(t, func(v int) bool { return inputs[v] == InputActive })
+	if err := oracleRunActiveComponents(t, active, p, ids, hierarchy.Gammas(scale, alphas), res); err != nil {
 		return nil, err
 	}
-	for _, comp := range graph.InducedComponents(t, inputMask(t, inputs, InputWeight)) {
+	for _, comp := range graph.InducedComponents(t, graph.Mask(t, func(v int) bool { return inputs[v] == InputWeight })) {
 		if err := oracleSolveWeightComponent35(t, active, p, comp, res); err != nil {
 			return nil, err
 		}
 	}
-	if err := repairCopyBudget(t, inputs, p, res); err != nil {
+	if err := repairCopyBudget(t, active, p, res); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// oracleRunActiveComponents is the active-component loop as
+// hierarchy.RunAnalyticOn ran it on a mask: components, levels and IDs
+// derived afresh.
+func oracleRunActiveComponents(t *graph.Tree, active []bool, p Problem, ids []uint64, gammas []int, res *Result) error {
+	sched, err := hierarchy.NewSchedule(hierarchy.Params{
+		Problem: hierarchy.Problem{K: p.K, Variant: p.Variant},
+		Gammas:  gammas,
+	})
+	if err != nil {
+		return err
+	}
+	for _, comp := range graph.InducedComponents(t, active) {
+		compIDs := make([]uint64, len(comp.Nodes))
+		for i, v := range comp.Nodes {
+			compIDs[i] = ids[v]
+		}
+		ex, err := hierarchy.RunAnalytic(comp.Tree, graph.ComputeLevels(comp.Tree, p.K), sched, compIDs)
+		if err != nil {
+			return err
+		}
+		for i, v := range comp.Nodes {
+			res.Out[v] = Output{Kind: KindActive, Label: ex.Out[i]}
+			res.Rounds[v] = ex.Rounds[i]
+		}
+	}
+	return nil
 }
 
 func oracleSolveWeightComponent35(t *graph.Tree, active []bool, p Problem, comp *graph.Component, res *Result) error {
@@ -213,7 +243,7 @@ func oracleCopySetDepths(t *graph.Tree, root int, set []int) map[int]int {
 // and rounds.
 func checkSolveLogStarAgainstOracle(t *testing.T, name string, tr *graph.Tree, inputs []NodeInput, p Problem, ids []uint64, scale int) {
 	t.Helper()
-	got, err := SolveLogStar(tr, inputs, p, ids, scale)
+	got, err := SolveLogStar(mustSplit(t, tr, inputs, p.K), p, ids, scale)
 	want, wantErr := oracleSolveLogStar(tr, inputs, p, ids, scale)
 	if err != nil || wantErr != nil {
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {

@@ -33,10 +33,34 @@ const (
 
 // String names the input.
 func (i NodeInput) String() string {
-	if i == InputActive {
+	switch i {
+	case InputActive:
 		return "Active"
+	case InputWeight:
+		return "Weight"
 	}
-	return "Weight"
+	return fmt.Sprintf("NodeInput(%d)", uint8(i))
+}
+
+// NewSplit cuts t by its inputs into the active components, with their
+// Definition-8 levels at depth k, and the weight components: the one input
+// of SolvePoly, SolveLogStar and Problem.Verify. It rejects an input that
+// is neither Active nor Weight.
+func NewSplit(t *graph.Tree, inputs []NodeInput, k int) (*hierarchy.Split, error) {
+	if len(inputs) != t.N() {
+		return nil, fmt.Errorf("weighted: %d inputs for n=%d", len(inputs), t.N())
+	}
+	active := make([]bool, len(inputs))
+	for v, in := range inputs {
+		switch in {
+		case InputActive:
+			active[v] = true
+		case InputWeight:
+		default:
+			return nil, fmt.Errorf("weighted: node %d has unknown input %v", v, in)
+		}
+	}
+	return hierarchy.NewSplit(t, active, k)
 }
 
 // Kind is the primary output kind of a node.
@@ -102,40 +126,45 @@ func bad(v int, format string, args ...any) error {
 	return fmt.Errorf("%w: node %d: %s", ErrInvalid, v, fmt.Sprintf(format, args...))
 }
 
-// Verify checks an output assignment against the five properties of
-// Definition 22.
-func (p Problem) Verify(t *graph.Tree, inputs []NodeInput, out []Output) error {
+// Verify checks an output assignment on the Split of an instance against
+// the five properties of Definition 22. The Split's mask is the instance's
+// input: every node is Active or Weight, since NewSplit rejects any other
+// input.
+func (p Problem) Verify(s *hierarchy.Split, out []Output) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
+	if s.K != p.K {
+		return fmt.Errorf("weighted: split has levels at depth %d, want k=%d", s.K, p.K)
+	}
+	t, active := s.Tree, s.Mask
 	n := t.N()
-	if len(inputs) != n || len(out) != n {
-		return fmt.Errorf("weighted: inputs/out length mismatch (n=%d)", n)
+	if len(out) != n {
+		return fmt.Errorf("weighted: %d outputs for n=%d", len(out), n)
 	}
 	// Basic shape.
 	for v := 0; v < n; v++ {
-		switch inputs[v] {
-		case InputActive:
+		if active[v] {
 			if out[v].Kind != KindActive {
 				return bad(v, "active node has kind %v", out[v].Kind)
 			}
-		case InputWeight:
-			switch out[v].Kind {
-			case KindDecline, KindConnect, KindCopy:
-			default:
-				return bad(v, "weight node has kind %v", out[v].Kind)
-			}
+			continue
+		}
+		switch out[v].Kind {
+		case KindDecline, KindConnect, KindCopy:
+		default:
+			return bad(v, "weight node has kind %v", out[v].Kind)
 		}
 	}
 	// Property 1: active components solve k-hierarchical Z-coloring.
 	hp := hierarchy.Problem{K: p.K, Variant: p.Variant}
 	label := func(v int) hierarchy.Label { return out[v].Label }
-	if err := hp.VerifyOn(t, inputMask(t, inputs, InputActive), label); err != nil {
+	if err := hp.VerifyOn(s, label); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	// Properties 2-5 on weight nodes.
 	for v := 0; v < n; v++ {
-		if inputs[v] != InputWeight {
+		if active[v] {
 			continue
 		}
 		switch out[v].Kind {
@@ -143,7 +172,7 @@ func (p Problem) Verify(t *graph.Tree, inputs []NodeInput, out []Output) error {
 			// Property 2: weight node adjacent to an active node must output
 			// Connect or Copy.
 			for _, w := range t.NeighborsRaw(v) {
-				if inputs[w] == InputActive {
+				if active[w] {
 					return bad(v, "declining weight node adjacent to active node %d (property 2)", w)
 				}
 			}
@@ -151,7 +180,7 @@ func (p Problem) Verify(t *graph.Tree, inputs []NodeInput, out []Output) error {
 			// Property 3: at least two neighbors active or Connect.
 			support := 0
 			for _, w := range t.NeighborsRaw(v) {
-				if inputs[w] == InputActive || out[w].Kind == KindConnect {
+				if active[w] || out[w].Kind == KindConnect {
 					support++
 				}
 			}
@@ -175,13 +204,13 @@ func (p Problem) Verify(t *graph.Tree, inputs []NodeInput, out []Output) error {
 			matchesActive := false
 			for _, w := range t.NeighborsRaw(v) {
 				u := int(w)
-				if inputs[u] == InputActive {
+				if active[u] {
 					hasActive = true
 					if out[u].Label == out[v].Label {
 						matchesActive = true
 					}
 				}
-				if inputs[u] == InputWeight && out[u].Kind == KindCopy &&
+				if !active[u] && out[u].Kind == KindCopy &&
 					out[u].Label != out[v].Label {
 					return bad(v, "adjacent Copy nodes with secondary %v vs %v (property 5)",
 						out[v].Label, out[u].Label)

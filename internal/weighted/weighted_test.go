@@ -3,6 +3,8 @@ package weighted
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -27,6 +29,16 @@ func prob35(t *testing.T, delta, d, k int) Problem {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// mustSplit returns NewSplit(tr, inputs, k) or fails the test.
+func mustSplit(t testing.TB, tr *graph.Tree, inputs []NodeInput, k int) *hierarchy.Split {
+	t.Helper()
+	s, err := NewSplit(tr, inputs, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestBuildInstanceShape(t *testing.T) {
@@ -90,11 +102,12 @@ func TestSolvePolyOnConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 3)
-	res, err := SolvePoly(inst.Tree, inst.Inputs, p, ids)
+	split := mustSplit(t, inst.Tree, inst.Inputs, p.K)
+	res, err := SolvePoly(split, p, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Verify(inst.Tree, inst.Inputs, res.Out); err != nil {
+	if err := p.Verify(split, res.Out); err != nil {
 		t.Fatal(err)
 	}
 	if res.NodeAveraged() <= 0 {
@@ -140,11 +153,12 @@ func TestSolvePolyScalingMatchesAlpha1(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids := sim.DefaultIDs(inst.Tree.N(), 9)
-		res, err := SolvePoly(inst.Tree, inst.Inputs, p, ids)
+		split := mustSplit(t, inst.Tree, inst.Inputs, p.K)
+		res, err := SolvePoly(split, p, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Verify(inst.Tree, inst.Inputs, res.Out); err != nil {
+		if err := p.Verify(split, res.Out); err != nil {
 			t.Fatal(err)
 		}
 		ns = append(ns, float64(inst.Tree.N()))
@@ -165,11 +179,12 @@ func TestSolveLogStarOnConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 4)
-	res, err := SolveLogStar(inst.Tree, inst.Inputs, p, ids, 16)
+	split := mustSplit(t, inst.Tree, inst.Inputs, p.K)
+	res, err := SolveLogStar(split, p, ids, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Verify(inst.Tree, inst.Inputs, res.Out); err != nil {
+	if err := p.Verify(split, res.Out); err != nil {
 		t.Fatal(err)
 	}
 	copies := 0
@@ -190,7 +205,8 @@ func TestSolveLogStarRequiresD3(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 1)
-	if _, err := SolveLogStar(inst.Tree, inst.Inputs, p, ids, 8); err == nil {
+	split := mustSplit(t, inst.Tree, inst.Inputs, p.K)
+	if _, err := SolveLogStar(split, p, ids, 8); err == nil {
 		t.Fatal("d=2 accepted by SolveLogStar")
 	}
 }
@@ -204,7 +220,8 @@ func TestSolveLogStarWeightSideIsCheap(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 11)
-	res, err := SolveLogStar(inst.Tree, inst.Inputs, p, ids, 8)
+	split := mustSplit(t, inst.Tree, inst.Inputs, p.K)
+	res, err := SolveLogStar(split, p, ids, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +274,12 @@ func TestSolvePolyOnRandomMixedTrees(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		tr, inputs := randomMixedTree(rng, 80+rng.Intn(300), p.Delta, 0.5)
 		ids := sim.DefaultIDs(tr.N(), uint64(trial+1))
-		res, err := SolvePoly(tr, inputs, p, ids)
+		split := mustSplit(t, tr, inputs, p.K)
+		res, err := SolvePoly(split, p, ids)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := p.Verify(tr, inputs, res.Out); err != nil {
+		if err := p.Verify(split, res.Out); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -273,11 +291,12 @@ func TestSolveLogStarOnRandomMixedTrees(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		tr, inputs := randomMixedTree(rng, 80+rng.Intn(300), p.Delta, 0.5)
 		ids := sim.DefaultIDs(tr.N(), uint64(trial+100))
-		res, err := SolveLogStar(tr, inputs, p, ids, 8)
+		split := mustSplit(t, tr, inputs, p.K)
+		res, err := SolveLogStar(split, p, ids, 8)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := p.Verify(tr, inputs, res.Out); err != nil {
+		if err := p.Verify(split, res.Out); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -290,11 +309,12 @@ func TestVerifyRejectsBrokenWeightedOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 2)
-	res, err := SolvePoly(inst.Tree, inst.Inputs, p, ids)
+	split := mustSplit(t, inst.Tree, inst.Inputs, p.K)
+	res, err := SolvePoly(split, p, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Verify(inst.Tree, inst.Inputs, res.Out); err != nil {
+	if err := p.Verify(split, res.Out); err != nil {
 		t.Fatal(err)
 	}
 	// Weight root declining next to active violates property 2.
@@ -303,7 +323,7 @@ func TestVerifyRejectsBrokenWeightedOutputs(t *testing.T) {
 		out[root] = Output{Kind: KindDecline}
 		break
 	}
-	if p.Verify(inst.Tree, inst.Inputs, out) == nil {
+	if p.Verify(split, out) == nil {
 		t.Error("declining A-weight node accepted")
 	}
 	// Copy with wrong secondary violates property 5.
@@ -315,7 +335,7 @@ func TestVerifyRejectsBrokenWeightedOutputs(t *testing.T) {
 				wrong = hierarchy.LabelB
 			}
 			out[root] = Output{Kind: KindCopy, Label: wrong}
-			if p.Verify(inst.Tree, inst.Inputs, out) == nil {
+			if p.Verify(split, out) == nil {
 				t.Error("mismatched secondary accepted")
 			}
 			break
@@ -324,8 +344,27 @@ func TestVerifyRejectsBrokenWeightedOutputs(t *testing.T) {
 	// Active node with weight-kind output.
 	out = append([]Output(nil), res.Out...)
 	out[0] = Output{Kind: KindDecline}
-	if p.Verify(inst.Tree, inst.Inputs, out) == nil {
+	if p.Verify(split, out) == nil {
 		t.Error("weight-kind output on active node accepted")
+	}
+	// A Split at another depth is refused, not verified at its levels.
+	other := mustSplit(t, inst.Tree, inst.Inputs, p.K+1)
+	if p.Verify(other, res.Out) == nil {
+		t.Error("Verify accepted a split at depth k+1")
+	}
+	if _, err := SolvePoly(other, p, ids); err == nil {
+		t.Error("SolvePoly ran on a split at depth k+1")
+	}
+	// A node whose input is neither Active nor Weight: Verify reads the
+	// inputs through a Split, and NewSplit rejects the instance.
+	leaf := inst.Tree.N() - 1
+	if inst.Inputs[leaf] != InputWeight || inst.Tree.Degree(leaf) != 1 {
+		t.Fatalf("node %d is not a weight leaf", leaf)
+	}
+	inputs := slices.Clone(inst.Inputs)
+	inputs[leaf] = 7
+	if _, err := NewSplit(inst.Tree, inputs, p.K); err == nil || !strings.Contains(err.Error(), "unknown input NodeInput(7)") {
+		t.Errorf("input 7 on weight leaf %d: NewSplit error %v", leaf, err)
 	}
 }
 
@@ -338,7 +377,8 @@ func TestCopyWaitsForActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := sim.DefaultIDs(inst.Tree.N(), 8)
-	res, err := SolvePoly(inst.Tree, inst.Inputs, p, ids)
+	split := mustSplit(t, inst.Tree, inst.Inputs, p.K)
+	res, err := SolvePoly(split, p, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
