@@ -247,7 +247,14 @@ func smallestFree(colors []int64) int64 {
 
 // reduceOnce applies one polynomial reduction step.
 func reduceOnce(color int64, neighbors []int64, step paletteStep, delta int) (int64, error) {
-	active := 0
+	// Color c is the polynomial whose coefficients are the w base-q digits
+	// of c. Its point at x = 0 is (0, c mod q), and neighbor c' covers that
+	// point iff c' ≡ c (mod q), so x = 0 is tried while the neighbors are
+	// checked: when it is free, the new color is c mod q after Δ+1
+	// divisions, without digits or Horner evaluations.
+	q, w := step.q, step.d+1
+	y0 := color % q
+	active, covered0 := 0, false
 	for _, c := range neighbors {
 		if c < 0 {
 			continue
@@ -256,13 +263,15 @@ func reduceOnce(color int64, neighbors []int64, step paletteStep, delta int) (in
 			return 0, fmt.Errorf("coloring: neighbor has identical color %d (improper input coloring)", c)
 		}
 		active++
+		covered0 = covered0 || c%q == y0
 	}
 	if active > delta {
 		return 0, fmt.Errorf("coloring: %d active neighbors exceeds delta %d", active, delta)
 	}
-	// Color c is the polynomial whose coefficients are the w base-q digits
-	// of c. coeffs holds ours first, then those of each active neighbor.
-	q, w := step.q, step.d+1
+	if !covered0 {
+		return y0, nil
+	}
+	// coeffs holds our digits first, then those of each active neighbor.
 	var buf [stackCoeffs]int64
 	var coeffs []int64
 	if need := (active + 1) * w; need <= len(buf) {
@@ -279,8 +288,8 @@ func reduceOnce(color int64, neighbors []int64, step paletteStep, delta int) (in
 		}
 	}
 	// Our candidate point (x, p_color(x)) is covered by neighbor c' iff
-	// p_{c'}(x) equals p_color(x); take the first uncovered one.
-	for x := int64(0); x < q; x++ {
+	// p_{c'}(x) equals p_color(x); take the first uncovered one after x = 0.
+	for x := int64(1); x < q; x++ {
 		y := horner(coeffs[:w], x, q)
 		covered := false
 		for j := w; j < len(coeffs); j += w {

@@ -388,3 +388,113 @@ func TestStackScratchCoversSmallDegrees(t *testing.T) {
 		}
 	}
 }
+
+// TestReduceOnceShortcutMatchesOracle drives every reduction step of the
+// schedules for Δ = 1..8 through the three cases of reduceOnce's x = 0
+// shortcut, against oracleReduceOnce, which always computes the digits and
+// evaluates every polynomial. Neighbor lists mix in masked (−1) ports, and
+// the covering neighbor sits at a random position among them.
+//   - x = 0 free: no neighbor is ≡ c (mod q), and the new color is c mod q.
+//   - x = 0 covered: one neighbor is ≡ c (mod q), and the new color is not
+//     on x = 0.
+//   - Leading x covered: neighbor i agrees with c at x = i only, for i
+//     below the neighbor count, and the new color lies on x = that count.
+func TestReduceOnceShortcutMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for delta := 1; delta <= 8; delta++ {
+		steps, _, err := PaletteSchedule(delta, IDSpace63)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most := 0
+		for si, step := range steps {
+			q := step.q
+			// randColor returns a color of the step's palette other than c
+			// that is (want) or is not (!want) ≡ c (mod q).
+			randColor := func(c int64, want bool) int64 {
+				for {
+					o := rng.Int63n(step.m)
+					if want {
+						o = o - o%q + c%q
+					}
+					if o != c && o < step.m && (o%q == c%q) == want {
+						return o
+					}
+				}
+			}
+			// through shifts c's polynomial by a(x − x0) for a random a ≠ 0,
+			// which keeps its value at x0 and changes it everywhere else,
+			// and returns the color of the result; ok is false when no a
+			// tried gives a color inside the palette.
+			through := func(c, x0 int64) (int64, bool) {
+				for range 50 {
+					a := 1 + rng.Int63n(q-1)
+					coeffs := polyCoeffs(c, step.d, q)
+					coeffs[0] = ((coeffs[0]-a*x0)%q + q) % q
+					coeffs[1] = (coeffs[1] + a) % q
+					var o int64
+					for i := step.d; i >= 0 && o <= (step.m-coeffs[i])/q; i-- {
+						o = o*q + coeffs[i]
+						if i == 0 && o < step.m {
+							return o, true
+						}
+					}
+				}
+				return 0, false
+			}
+			mask := func(nbr []int64) []int64 {
+				for range rng.Intn(3) {
+					at := rng.Intn(len(nbr) + 1)
+					nbr = append(nbr[:at], append([]int64{-1}, nbr[at:]...)...)
+				}
+				return nbr
+			}
+			check := func(name string, c int64, nbr []int64, x func(x int64) bool) {
+				t.Helper()
+				got, err := reduceOnce(c, nbr, step, delta)
+				want, errWant := oracleReduceOnce(c, nbr, step, delta)
+				if err != nil || errWant != nil || got != want {
+					t.Fatalf("Δ=%d step %d (q=%d, d=%d) %s: c=%d nbr %v: got %d (%v), oracle %d (%v)",
+						delta, si, q, step.d, name, c, nbr, got, err, want, errWant)
+				}
+				if !x(got / q) {
+					t.Fatalf("Δ=%d step %d (q=%d) %s: c=%d nbr %v: new color %d lies on x = %d",
+						delta, si, q, name, c, nbr, got, got/q)
+				}
+			}
+			for trial := 0; trial < 40; trial++ {
+				c := rng.Int63n(step.m)
+				free := make([]int64, rng.Intn(delta+1))
+				for i := range free {
+					free[i] = randColor(c, false)
+				}
+				check("x=0 free", c, mask(free), func(x int64) bool { return x == 0 })
+
+				covered := make([]int64, 1+rng.Intn(delta))
+				for i := range covered {
+					covered[i] = randColor(c, false)
+				}
+				covered[rng.Intn(len(covered))] = randColor(c, true)
+				check("x=0 covered", c, mask(covered), func(x int64) bool { return x > 0 })
+
+				// Each of these neighbors covers exactly one point, so the
+				// first free x is their count.
+				lead := make([]int64, 0, delta)
+				for x0 := int64(0); x0 < int64(delta); x0++ {
+					o, ok := through(c, x0)
+					if !ok {
+						break
+					}
+					lead = append(lead, o)
+				}
+				covers := int64(len(lead))
+				most = max(most, len(lead))
+				rng.Shuffle(len(lead), func(i, j int) { lead[i], lead[j] = lead[j], lead[i] })
+				check("leading x covered", c, mask(lead), func(x int64) bool { return x == covers })
+			}
+		}
+		if most != delta {
+			t.Fatalf("Δ=%d: at most %d leading points covered, want Δ", delta, most)
+		}
+	}
+}

@@ -193,9 +193,14 @@ func BuildWeightedHierarchical(h *Hierarchical, delta, perLevel int) (*Tree, map
 	nCore := h.Tree.N()
 	b := NewBuilder(nCore + (h.K-1)*perLevel)
 	b.AddNodes(nCore)
-	for _, e := range h.Tree.Edges() {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			return nil, nil, err
+	// The core's edges in Edges() order, read off its CSR.
+	for u := 0; u < nCore; u++ {
+		for _, w := range h.Tree.NeighborsRaw(u) {
+			if u < int(w) {
+				if err := b.AddEdge(u, int(w)); err != nil {
+					return nil, nil, err
+				}
+			}
 		}
 	}
 	roots := make(map[int]int)

@@ -2,8 +2,10 @@ package labeling
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -356,6 +358,55 @@ func TestVerifyAugRejectsBrokenOutputs(t *testing.T) {
 	err = VerifyAug(all, res.Out)
 	if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "rake node 0 originates Decline") {
 		t.Errorf("all-Decline labeling: got %v, want rake node 0 originating Decline", err)
+	}
+}
+
+// TestVerifyAugTotalOnGarbage corrupts a few nodes of a valid labeling per
+// trial, weight roots among them: each gets an OutNode of -5, -1, n, n+7, a
+// random node or a neighbor, and half of them also random labels and
+// secondaries. VerifyAug must never panic, and must return ErrInvalid
+// whenever an OutNode lies outside [-1, n).
+func TestVerifyAugTotalOnGarbage(t *testing.T) {
+	inst, err := BuildAugInstance(2, 5, []int{6, 8}, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := inst.Tree
+	n := tr.N()
+	split := mustAugSplit(t, tr, inst.Weight, inst.K)
+	res, err := SolveAug(split, sim.DefaultIDs(n, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := slices.Sorted(maps.Keys(inst.Roots))
+	rng := rand.New(rand.NewSource(29))
+	outside := 0
+	for trial := 0; trial < 400; trial++ {
+		out := append([]AugOutput(nil), res.Out...)
+		for range 1 + rng.Intn(3) {
+			v := rng.Intn(n)
+			if rng.Intn(2) == 0 {
+				v = roots[rng.Intn(len(roots))]
+			}
+			nbrs := tr.NeighborsRaw(v)
+			targets := []int{-5, -1, n, n + 7, rng.Intn(n), int(nbrs[rng.Intn(len(nbrs))])}
+			out[v].OutNode = targets[rng.Intn(len(targets))]
+			if rng.Intn(2) == 0 {
+				out[v].Active = hierarchy.Label(rng.Intn(9))
+				out[v].WLabel = Label(rng.Intn(7))
+				out[v].Secondary = Secondary{Label: hierarchy.Label(rng.Intn(9)), Decline: rng.Intn(2) == 0}
+			}
+		}
+		err := VerifyAug(split, out) // must not panic
+		if slices.ContainsFunc(out, func(o AugOutput) bool { return o.OutNode < -1 || o.OutNode >= n }) {
+			outside++
+			if !errors.Is(err, ErrInvalid) {
+				t.Fatalf("trial %d: an OutNode outside [-1, n) gave %v, want ErrInvalid", trial, err)
+			}
+		}
+	}
+	if outside == 0 {
+		t.Fatal("no trial drew an OutNode outside [-1, n)")
 	}
 }
 

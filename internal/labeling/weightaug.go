@@ -244,6 +244,11 @@ func VerifyAug(s *hierarchy.Split, out []AugOutput) error {
 	if len(out) != n {
 		return fmt.Errorf("labeling: %d outputs for n=%d", len(out), n)
 	}
+	for v := range out {
+		if u := out[v].OutNode; u < -1 || u >= n {
+			return fmt.Errorf("%w: node %d points at %d, not a node or -1", ErrInvalid, v, u)
+		}
+	}
 	hp := hierarchy.Problem{K: k, Variant: hierarchy.Coloring25}
 	label := func(v int) hierarchy.Label { return out[v].Active }
 	if err := hp.VerifyOn(s, label); err != nil {

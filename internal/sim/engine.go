@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -27,14 +30,19 @@ import (
 // [0, n), and WithShards(k) makes k parts that exchange only cross-part
 // messages at the round barrier (see shard.go). Each round is split into
 // units: contiguous chunks of the single part's frontier under
-// WithParallelism(p), or one unit per live part under WithShards(k). A single
-// unit runs inline; several run on persistent goroutines, with a barrier
-// after the pull phase and after the step phase. The LOCAL model's
-// synchronous-round barrier makes this semantics-preserving: within a round,
-// node v only reads its own inbox (written during the previous round) and
-// only writes the slots next[u][port-back-to-v], which no other node writes.
-// Rounds, outputs, and message counts are therefore bit-identical across
-// every parallelism level, shard count, and shard layout.
+// WithParallelism(p), or one unit per live part under WithShards(k). The
+// calling goroutine runs unit 0 of every phase itself; units 1.. run on
+// goroutines that live for the whole run, with a barrier after the pull
+// phase and after the step phase. The barrier is an atomic handoff: an
+// atomic phase counter releases the workers and an atomic pending count
+// reports them done, and a waiting side polls for a few tens of µs, when
+// the run has no more units than GOMAXPROCS, before it parks (see handoff).
+// The LOCAL model's synchronous-round barrier makes this
+// semantics-preserving: within a round, node v only reads its own inbox
+// (written during the previous round) and only writes the slots
+// next[u][port-back-to-v], which no other node writes. Rounds, outputs, and
+// message counts are therefore bit-identical across every parallelism
+// level, shard count, and shard layout.
 type Engine struct {
 	ids         []uint64
 	inputs      []any
@@ -246,13 +254,13 @@ type run struct {
 	live   int // nodes not yet terminated, over all parts
 	res    *Result
 
-	// units holds this round's units; unit w runs on goroutine w when there
-	// are several. The coordinator writes units and round before each
-	// phase's commands and reads the units' counters after the acks.
+	// units holds this round's units. The coordinator runs unit 0 and
+	// worker w runs unit w ≥ 1; the coordinator writes units and round
+	// before it releases a phase and reads the units' counters once the
+	// phase's pending count is zero.
 	units []unit
 	round int
-	cmds  []chan bool // true: pull phase, false: step phase
-	ack   chan struct{}
+	hand  handoff
 }
 
 // part is one contiguous node range [lo, hi) of the run, with its own
@@ -298,24 +306,24 @@ func (r *run) origNode(v int) int {
 
 // execute drives the round loop: split the frontiers into units, pull and
 // step them behind a barrier each, merge, exchange boundary messages, and
-// swap the message buffers, until every node has terminated. The
-// goroutines live for the whole run and stop when execute closes their
-// command channels.
+// swap the message buffers, until every node has terminated. The worker
+// goroutines live for the whole run and have exited when execute returns.
 func (r *run) execute() (*Result, error) {
 	g := max(len(r.parts), r.workers)
 	r.units = make([]unit, 0, g)
 	if g > 1 {
-		r.ack = make(chan struct{}, g)
-		r.cmds = make([]chan bool, g)
-		for w := range r.cmds {
-			r.cmds[w] = make(chan bool)
+		h := &r.hand
+		h.spin = g <= runtime.GOMAXPROCS(0)
+		h.release = make([]atomic.Uint64, g)
+		h.wake = make([]chan struct{}, g)
+		for w := range h.wake {
+			h.wake[w] = make(chan struct{}, 1)
+		}
+		h.exited.Add(g - 1)
+		for w := 1; w < g; w++ {
 			go r.worker(w)
 		}
-		defer func() {
-			for _, c := range r.cmds {
-				close(c)
-			}
-		}()
+		defer h.stop()
 	}
 	for round := 0; ; round++ {
 		if r.live == 0 {
@@ -375,25 +383,113 @@ func (r *run) split() (pull bool) {
 	return pull
 }
 
+// spinWait bounds how long a waiting side of the handoff polls before it
+// parks. A dense round of a small tree steps in a few tens of µs, so a
+// worker that polls this long usually sees the next phase without a trip
+// through the scheduler, and a coordinator sees the phase end.
+const spinWait = 50 * time.Microsecond
+
+// handoff is the barrier between the coordinator and the worker goroutines
+// of a run with several units. The atomics decide: release[w] hands worker
+// w its next phase and pending counts the workers still in the current one.
+// A waiting side polls its atomic for at most spinWait, yielding between
+// checks, and then parks on its one-slot wake channel. A wake token is only
+// a hint to look again: the waker sends one without blocking after its
+// atomic write, so a waiter that parks after that write finds the token,
+// and a stale token costs one extra check.
+type handoff struct {
+	// release[w] is the latest phase released to worker w, seq<<1 | pull,
+	// or stopWord. Worker w is released only for phases with a unit w.
+	release []atomic.Uint64
+	pending atomic.Int32
+	seq     uint64 // phases released so far; written by the coordinator only
+	// spin is set when the run has at most GOMAXPROCS units: with more, a
+	// poller would hold a processor that a unit is waiting for.
+	spin   bool
+	wake   []chan struct{} // wake[0] wakes the coordinator, wake[w] worker w
+	exited sync.WaitGroup
+}
+
+// stopWord released to a worker tells it to exit; no phase word reaches it.
+const stopWord = ^uint64(0)
+
 // phase runs the pull or the step kernel on every unit and returns once all
-// are done: inline when there is one unit, otherwise on the goroutines.
+// are done. The coordinator runs unit 0 itself; when there are more units
+// it first releases them to their workers and afterwards waits for them.
 func (r *run) phase(pull bool) {
-	if len(r.units) == 1 {
-		r.kernel(&r.units[0], pull)
-		return
+	h, n := &r.hand, len(r.units)
+	if n > 1 {
+		h.pending.Store(int32(n - 1))
+		h.seq++
+		word := h.seq << 1
+		if pull {
+			word |= 1
+		}
+		for w := 1; w < n; w++ {
+			h.release[w].Store(word)
+			notify(h.wake[w])
+		}
 	}
-	for w := range r.units {
-		r.cmds[w] <- pull
-	}
-	for range r.units {
-		<-r.ack
+	r.kernel(&r.units[0], pull)
+	if n > 1 {
+		h.wait(h.wake[0], func() bool { return h.pending.Load() == 0 })
 	}
 }
 
+// worker runs unit w of every phase released to it, until stopped.
 func (r *run) worker(w int) {
-	for pull := range r.cmds[w] {
-		r.kernel(&r.units[w], pull)
-		r.ack <- struct{}{}
+	h := &r.hand
+	defer h.exited.Done()
+	var word uint64
+	for {
+		seen := word
+		h.wait(h.wake[w], func() bool {
+			word = h.release[w].Load()
+			return word != seen
+		})
+		if word == stopWord {
+			return
+		}
+		r.kernel(&r.units[w], word&1 != 0)
+		if h.pending.Add(-1) == 0 {
+			notify(h.wake[0])
+		}
+	}
+}
+
+// wait returns once done reports true: after polling it for up to spinWait
+// when spin is set, it parks on wake and checks again after every token.
+func (h *handoff) wait(wake <-chan struct{}, done func() bool) {
+	if done() {
+		return
+	}
+	if h.spin {
+		for start := time.Now(); time.Since(start) < spinWait; {
+			runtime.Gosched()
+			if done() {
+				return
+			}
+		}
+	}
+	for !done() {
+		<-wake
+	}
+}
+
+// stop releases stopWord to every worker and returns once all have exited.
+func (h *handoff) stop() {
+	for w := 1; w < len(h.wake); w++ {
+		h.release[w].Store(stopWord)
+		notify(h.wake[w])
+	}
+	h.exited.Wait()
+}
+
+// notify leaves a wake token on c unless one is already waiting there.
+func notify(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
 	}
 }
 
@@ -508,8 +604,12 @@ func (r *run) step(u *unit) {
 			msgs++
 		}
 		// Clear only after the sends are copied out: a machine may return its
-		// recv slice as send.
-		clearAny(recv)
+		// recv slice as send. An indexed loop, because a range clear compiles
+		// to a runtime memclrHasPointers call, which costs more than the
+		// clear itself on a window of a few slots.
+		for i := 0; i < len(recv); i++ {
+			recv[i] = nil
+		}
 		if !fin {
 			active[keep] = int32(v)
 			keep++

@@ -106,6 +106,12 @@ func fullSweepRun(t *graph.Tree, alg Algorithm, ids []uint64, inputs []any, maxR
 	}
 }
 
+func clearAny(xs []any) {
+	for i := range xs {
+		xs[i] = nil
+	}
+}
+
 // probeAlg terminates node v in round deadline(v) (taken from the node's
 // input), sends a distinct tagged message on every port in every round up to
 // and including the terminating one, and outputs an FNV hash of every

@@ -25,13 +25,19 @@
 //
 //   - sequential: one part over all nodes, stepped inline in index order;
 //   - parallel (WithParallelism): the same part, with each round's
-//     frontier cut into contiguous chunks stepped on persistent goroutines
-//     behind the synchronous-round barrier;
+//     frontier cut into contiguous chunks, one per goroutine;
 //   - sharded (WithShards): the tree is partitioned into contiguous
 //     node-range parts, each with its own machines, frontier, and message
 //     slots, stepped one goroutine per part and exchanging only cross-part
 //     boundary messages through an in-memory bus between rounds (the seam a
 //     multi-process executor plugs into).
+//
+// The calling goroutine steps the first chunk or part itself; the others
+// run on goroutines that live for the whole run. The synchronous-round
+// barrier between them is an atomic handoff: an atomic phase counter
+// releases a phase and an atomic pending count reports it done, and a side
+// that waits polls for a few tens of µs, when the run has no more units
+// than GOMAXPROCS, before it parks on a wake channel.
 //
 // All three produce bit-identical Rounds, Outputs, TotalRounds, and
 // Messages for the same IDs and inputs; sharded runs additionally report
@@ -174,12 +180,6 @@ type Result struct {
 	// TotalRounds, and Messages are bit-identical across all shard counts —
 	// only this field distinguishes a sharded result.
 	Shards []ShardStats
-}
-
-func clearAny(xs []any) {
-	for i := range xs {
-		xs[i] = nil
-	}
 }
 
 // reverseSlots computes, for each directed-edge slot e = off[v]+p (port p of
