@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
@@ -166,17 +167,16 @@ func (m *twoColorMachine) colorFrom(a, b endpointMsg) int64 {
 
 func (m *twoColorMachine) Output() any { return m.out }
 
-// VerifyProperColoring checks that no edge of the graph has equal colors at
-// its endpoints. colors[v] is the color of node v.
-type edgeLister interface {
-	Edges() [][2]int
-}
-
-// VerifyProperColoring reports the first monochromatic edge, or ok.
-func VerifyProperColoring(g edgeLister, colors []int64) (ok bool, badU, badV int) {
-	for _, e := range g.Edges() {
-		if colors[e[0]] == colors[e[1]] {
-			return false, e[0], e[1]
+// VerifyProperColoring reports whether no edge of t has equal colors at its
+// endpoints; colors[v] is the color of node v. Otherwise it returns the
+// first monochromatic edge {badU, badV}, badU < badV, in node order and then
+// port order. It walks the CSR and allocates nothing.
+func VerifyProperColoring(t *graph.Tree, colors []int64) (ok bool, badU, badV int) {
+	for u := range t.N() {
+		for _, w := range t.NeighborsRaw(u) {
+			if u < int(w) && colors[u] == colors[w] {
+				return false, u, int(w)
+			}
 		}
 	}
 	return true, -1, -1

@@ -9,20 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestLogStar2(t *testing.T) {
-	cases := []struct {
-		x    float64
-		want int
-	}{
-		{0, 0}, {1, 0}, {2, 1}, {4, 2}, {16, 3}, {65536, 4}, {1 << 62, 5},
-	}
-	for _, tc := range cases {
-		if got := LogStar2(tc.x); got != tc.want {
-			t.Errorf("LogStar2(%v) = %d, want %d", tc.x, got, tc.want)
-		}
-	}
-}
-
 func TestPrimes(t *testing.T) {
 	primes := []int{2, 3, 5, 7, 11, 13, 29, 97}
 	for _, p := range primes {
@@ -68,12 +54,28 @@ func TestPaletteScheduleShrinksToConstant(t *testing.T) {
 }
 
 func TestReducerRoundsMatchesSchedule(t *testing.T) {
-	r, err := NewReducer(12345, 2, IDSpace63)
+	const delta = 2
+	steps, fix, err := PaletteSchedule(delta, IDSpace63)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Rounds() <= 0 || r.Rounds() > 60 {
-		t.Fatalf("Rounds() = %d, want small positive", r.Rounds())
+	// One round per reduction step, then one per greedy class fix-1 .. Δ+1.
+	want := len(steps) + max(int(fix)-1-delta, 0)
+	if want <= 0 || want > 60 {
+		t.Fatalf("schedule takes %d rounds, want small positive", want)
+	}
+	r, err := NewReducer(12345, delta, IDSpace63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	for ; !r.Done() && rounds <= want; rounds++ {
+		if err := r.Advance(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rounds != want {
+		t.Fatalf("done after %d rounds, schedule takes %d", rounds, want)
 	}
 }
 

@@ -181,16 +181,6 @@ func (r *Reducer) Color() int64 { return r.color }
 // Done reports whether the reduction has finished.
 func (r *Reducer) Done() bool { return r.done }
 
-// Rounds returns the total number of communication rounds the schedule
-// takes; identical on every node.
-func (r *Reducer) Rounds() int {
-	greedy := r.greedyC - r.delta // classes m*-1 .. Δ+1, one round each
-	if greedy < 0 {
-		greedy = 0
-	}
-	return len(r.schedule) + greedy
-}
-
 // Advance performs one lockstep round given the current colors of the active
 // neighbors (entries < 0 are ignored: masked ports / non-participants). It
 // returns an error only on violated invariants (duplicate neighbor color),

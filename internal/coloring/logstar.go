@@ -6,25 +6,6 @@
 // and as reusable sub-machines for the composite algorithms of the paper.
 package coloring
 
-import "math"
-
-// LogStar2 returns log*_2(x): the number of times log2 must be applied to x
-// before the result is at most 1. LogStar2(x) = 0 for x <= 1.
-func LogStar2(x float64) int {
-	count := 0
-	for x > 1 {
-		x = math.Log2(x)
-		count++
-		if count > 128 {
-			return count
-		}
-	}
-	return count
-}
-
-// LogStarInt is LogStar2 on integers.
-func LogStarInt(n int) int { return LogStar2(float64(n)) }
-
 // IsPrime reports whether p is prime (trial division; used only on tiny
 // palette parameters).
 func IsPrime(p int) bool {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/graph"
 )
 
 // oracleReducer is the straightforward Reducer the differential tests hold
@@ -36,14 +38,6 @@ func newOracleReducer(id uint64, delta int, idSpace float64) (*oracleReducer, er
 		r.done = true
 	}
 	return r, nil
-}
-
-func (r *oracleReducer) Rounds() int {
-	greedy := r.greedyC - r.delta
-	if greedy < 0 {
-		greedy = 0
-	}
-	return len(r.schedule) + greedy
 }
 
 func (r *oracleReducer) Advance(neighborColors []int64) error {
@@ -151,8 +145,8 @@ func newPair(t *testing.T, id uint64, delta int) pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rounds() != want.Rounds() || got.Done() != want.done {
-		t.Fatalf("id %d Δ=%d: Rounds/Done %d/%v, oracle %d/%v", id, delta, got.Rounds(), got.Done(), want.Rounds(), want.done)
+	if got.Done() != want.done {
+		t.Fatalf("id %d Δ=%d: Done %v, oracle %v", id, delta, got.Done(), want.done)
 	}
 	return pair{got, want}
 }
@@ -496,5 +490,83 @@ func TestReduceOnceShortcutMatchesOracle(t *testing.T) {
 		if most != delta {
 			t.Fatalf("Δ=%d: at most %d leading points covered, want Δ", delta, most)
 		}
+	}
+}
+
+// oracleVerifyProperColoring is VerifyProperColoring as it was before it
+// walked the CSR: a scan of the tree's edge list.
+func oracleVerifyProperColoring(tr *graph.Tree, colors []int64) (ok bool, badU, badV int) {
+	for _, e := range tr.Edges() {
+		if colors[e[0]] == colors[e[1]] {
+			return false, e[0], e[1]
+		}
+	}
+	return true, -1, -1
+}
+
+// TestVerifyProperColoringMatchesOracle plants 0-3 conflicts in a proper
+// 2-coloring of random trees, whose edges are added in random order and
+// orientation so that port order is not node order, and requires the same
+// verdict and the same first monochromatic edge as the edge-list scan.
+func TestVerifyProperColoringMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := range 300 {
+		n := 1 + rng.Intn(80)
+		edges := make([][2]int, 0, n-1)
+		for v := 1; v < n; v++ {
+			e := [2]int{rng.Intn(v), v}
+			if rng.Intn(2) == 0 {
+				e[0], e[1] = e[1], e[0]
+			}
+			edges = append(edges, e)
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		b := graph.NewBuilder(n)
+		b.AddNodes(n)
+		for _, e := range edges {
+			if err := b.AddEdge(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr := b.MustBuild()
+		colors := make([]int64, n)
+		for v, d := range tr.BFS(0) {
+			colors[v] = int64(d % 2)
+		}
+		conflicts := 0
+		if len(edges) > 0 {
+			conflicts = rng.Intn(4)
+		}
+		for range conflicts {
+			e := edges[rng.Intn(len(edges))]
+			colors[e[1]] = colors[e[0]]
+		}
+		ok, u, w := VerifyProperColoring(tr, colors)
+		wantOK, wantU, wantW := oracleVerifyProperColoring(tr, colors)
+		if ok != wantOK || u != wantU || w != wantW {
+			t.Fatalf("trial %d (n=%d, %d conflicts): got %v {%d,%d}, oracle %v {%d,%d}",
+				trial, n, conflicts, ok, u, w, wantOK, wantU, wantW)
+		}
+		if conflicts == 0 && !ok {
+			t.Fatalf("trial %d: proper 2-coloring rejected at {%d,%d}", trial, u, w)
+		}
+	}
+}
+
+func TestVerifyProperColoringAllocatesNothing(t *testing.T) {
+	tr, err := graph.BuildPath(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colors := make([]int64, tr.N())
+	for v := range colors {
+		colors[v] = int64(v % 2)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if ok, u, w := VerifyProperColoring(tr, colors); !ok {
+			t.Fatalf("proper coloring rejected at {%d,%d}", u, w)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per call, want 0", allocs)
 	}
 }

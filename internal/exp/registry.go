@@ -70,13 +70,6 @@ func List() []*Experiment {
 	return out
 }
 
-// Names returns the registered names in registration order.
-func Names() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	return append([]string(nil), registry.order...)
-}
-
 // CatalogEntry is the machine-readable form of one registered experiment:
 // everything needed to drive a run without reading drivers.go. It is the
 // element type of `experiments -list -json` and of the expd service's

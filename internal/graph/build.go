@@ -184,11 +184,11 @@ func BuildHierarchical(lengths []int) (*Hierarchical, error) {
 // construction level i = 2..k, perLevel weight nodes are split evenly (at
 // least one each) among the level-i nodes as balanced trees of maximum
 // degree delta, one per node, each root attached to its host. Every node
-// from h.Tree.N() on is a weight node. It returns the tree and the map from
-// each weight-tree root to its host.
-func BuildWeightedHierarchical(h *Hierarchical, delta, perLevel int) (*Tree, map[int]int, error) {
+// from h.Tree.N() on is a weight node, and a weight tree's root is the
+// weight node whose port 0 is its host.
+func BuildWeightedHierarchical(h *Hierarchical, delta, perLevel int) (*Tree, error) {
 	if delta < 2 {
-		return nil, nil, fmt.Errorf("%w: weight tree degree %d < 2", ErrBadParam, delta)
+		return nil, fmt.Errorf("%w: weight tree degree %d < 2", ErrBadParam, delta)
 	}
 	nCore := h.Tree.N()
 	b := NewBuilder(nCore + (h.K-1)*perLevel)
@@ -198,12 +198,11 @@ func BuildWeightedHierarchical(h *Hierarchical, delta, perLevel int) (*Tree, map
 		for _, w := range h.Tree.NeighborsRaw(u) {
 			if u < int(w) {
 				if err := b.AddEdge(u, int(w)); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 		}
 	}
-	roots := make(map[int]int)
 	for level := 2; level <= h.K; level++ {
 		hosts := 0
 		for _, path := range h.Paths[level-1] {
@@ -219,20 +218,15 @@ func BuildWeightedHierarchical(h *Hierarchical, delta, perLevel int) (*Tree, map
 				// The host edge comes before the fill, so it is the root's
 				// port 0.
 				if err := b.AddEdge(host, root); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				if err := fillBalanced(b, root, per, delta); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				roots[root] = host
 			}
 		}
 	}
-	tree, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return tree, roots, nil
+	return b.Build()
 }
 
 func totalHierarchicalNodes(lengths []int) int {

@@ -65,9 +65,6 @@ type Tree struct {
 // N returns the number of nodes.
 func (t *Tree) N() int { return len(t.off) - 1 }
 
-// M returns the number of edges.
-func (t *Tree) M() int { return t.m }
-
 // Degree returns the degree of node v.
 func (t *Tree) Degree(v int) int { return int(t.off[v+1] - t.off[v]) }
 
@@ -103,9 +100,6 @@ func (t *Tree) Neighbors(v int) []int {
 // CSR neighbor array. Callers must not modify the returned slice; it is
 // exposed for hot paths inside this module.
 func (t *Tree) NeighborsRaw(v int) []int32 { return t.nbr[t.off[v]:t.off[v+1]] }
-
-// Neighbor returns the i-th neighbor (port i) of v.
-func (t *Tree) Neighbor(v, i int) int { return int(t.nbr[int(t.off[v])+i]) }
 
 // HasEdge reports whether {u,v} is an edge.
 func (t *Tree) HasEdge(u, v int) bool {
@@ -175,56 +169,6 @@ func (t *Tree) RootAt(r int) (parent, order []int32) {
 	return parent, order
 }
 
-// Eccentricity returns the maximum hop distance from v to any node.
-func (t *Tree) Eccentricity(v int) int {
-	ecc := 0
-	for _, d := range t.BFS(v) {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
-// Diameter returns the hop diameter of the tree using the classic double-BFS
-// (exact on trees).
-func (t *Tree) Diameter() int {
-	if t.N() == 0 {
-		return 0
-	}
-	dist := t.BFS(0)
-	far := argmax(dist)
-	dist = t.BFS(far)
-	return dist[argmax(dist)]
-}
-
-// Ball returns the set of nodes within hop distance r of v, in BFS order.
-func (t *Tree) Ball(v, r int) []int {
-	dist := make(map[int32]int, 2*r+1)
-	dist[int32(v)] = 0
-	order := []int{v}
-	queue := []int32{int32(v)}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if dist[u] == r {
-			continue
-		}
-		for _, w := range t.NeighborsRaw(int(u)) {
-			if _, ok := dist[w]; !ok {
-				dist[w] = dist[u] + 1
-				order = append(order, int(w))
-				queue = append(queue, w)
-			}
-		}
-	}
-	return order
-}
-
-// IsPathGraph reports whether the tree is a simple path (every node has
-// degree at most 2).
-func (t *Tree) IsPathGraph() bool { return t.maxDeg <= 2 }
-
 // Validate checks the structural tree invariants: connected, acyclic
 // (m == n-1 together with connectivity), no self loops, no duplicate edges.
 func (t *Tree) Validate() error {
@@ -275,16 +219,6 @@ func (t *Tree) validateOn(mark, queue []int32) error {
 	return nil
 }
 
-func argmax(xs []int) int {
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Builder incrementally constructs a Tree. It records nodes as a count and
 // edges as one insertion-ordered list; Build counting-sorts that list into
 // the immutable CSR layout, so port p of v is the p-th edge added at v.
@@ -322,9 +256,6 @@ func (b *Builder) AddEdge(u, v int) error {
 	b.edges = append(b.edges, int32(u), int32(v))
 	return nil
 }
-
-// N returns the current number of nodes in the builder.
-func (b *Builder) N() int { return b.n }
 
 // AttachPath appends a fresh path of length pathLen (pathLen new nodes) and
 // connects its first node to the existing node at. It returns the indices of

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -12,14 +13,14 @@ func TestBuildPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildPath(%d): %v", n, err)
 		}
-		if p.N() != n || p.M() != n-1 {
-			t.Fatalf("BuildPath(%d): got %d nodes %d edges", n, p.N(), p.M())
+		if p.N() != n || p.m != n-1 {
+			t.Fatalf("BuildPath(%d): got %d nodes %d edges", n, p.N(), p.m)
 		}
-		if !p.IsPathGraph() {
-			t.Fatalf("BuildPath(%d): not a path graph", n)
+		if p.MaxDegree() > 2 {
+			t.Fatalf("BuildPath(%d): max degree %d, not a path graph", n, p.MaxDegree())
 		}
-		if got := p.Diameter(); got != n-1 {
-			t.Fatalf("BuildPath(%d): diameter = %d, want %d", n, got, n-1)
+		if got := slices.Max(p.BFS(0)); got != n-1 {
+			t.Fatalf("BuildPath(%d): node 0 is %d hops from the far end, want %d", n, got, n-1)
 		}
 	}
 }
@@ -45,8 +46,8 @@ func TestBuildStar(t *testing.T) {
 			t.Fatalf("leaf %d degree = %d, want 1", v, s.Degree(v))
 		}
 	}
-	if s.Diameter() != 2 {
-		t.Fatalf("star diameter = %d, want 2", s.Diameter())
+	if ecc := slices.Max(s.BFS(1)); ecc != 2 {
+		t.Fatalf("leaf eccentricity = %d, want 2", ecc)
 	}
 }
 
@@ -79,7 +80,7 @@ func TestBuildBalancedDepthIsLogarithmic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// fan-out 3, 1000 nodes: depth about log_3(1000) ~ 7.
-	if ecc := tr.Eccentricity(0); ecc > 10 {
+	if ecc := slices.Max(tr.BFS(0)); ecc > 10 {
 		t.Fatalf("eccentricity of balanced tree root = %d, want <= 10", ecc)
 	}
 }
@@ -142,15 +143,15 @@ func TestBallRadius(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ball := p.Ball(5, 2)
-	if len(ball) != 5 {
-		t.Fatalf("ball size = %d, want 5 (nodes 3..7)", len(ball))
-	}
-	want := map[int]bool{3: true, 4: true, 5: true, 6: true, 7: true}
-	for _, v := range ball {
-		if !want[v] {
-			t.Fatalf("unexpected node %d in ball", v)
+	// The radius-2 ball of node 5 is the nodes BFS puts within 2 hops.
+	var ball []int
+	for v, d := range p.BFS(5) {
+		if d <= 2 {
+			ball = append(ball, v)
 		}
+	}
+	if want := []int{3, 4, 5, 6, 7}; !slices.Equal(ball, want) {
+		t.Fatalf("ball = %v, want %v", ball, want)
 	}
 }
 
@@ -299,16 +300,36 @@ func TestQuickDiameterMatchesBruteForce(t *testing.T) {
 		n := 2 + int(sz)%60
 		r := rand.New(rand.NewSource(seed))
 		tr := randomTree(r, n)
-		// Brute force: max over all BFS.
-		want := 0
-		for v := 0; v < n; v++ {
-			for _, d := range tr.BFS(v) {
-				if d > want {
-					want = d
+		// Brute force: Floyd-Warshall over the adjacency.
+		dist := make([][]int, n)
+		for u := range dist {
+			dist[u] = make([]int, n)
+			for w := range dist[u] {
+				if u != w {
+					dist[u][w] = n
+				}
+			}
+			for _, w := range tr.NeighborsRaw(u) {
+				dist[u][w] = 1
+			}
+		}
+		for k := range n {
+			for u := range n {
+				for w := range n {
+					dist[u][w] = min(dist[u][w], dist[u][k]+dist[k][w])
 				}
 			}
 		}
-		return tr.Diameter() == want
+		want := 0
+		for u := range n {
+			if !slices.Equal(tr.BFS(u), dist[u]) {
+				return false
+			}
+			want = max(want, slices.Max(dist[u]))
+		}
+		// The double sweep finds the diameter on a tree.
+		far := slices.Index(tr.BFS(0), slices.Max(tr.BFS(0)))
+		return slices.Max(tr.BFS(far)) == want
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -373,7 +394,7 @@ func TestNeighborsReturnsCopy(t *testing.T) {
 	}
 	nb := p.Neighbors(1)
 	nb[0] = 99
-	if p.Neighbor(1, 0) == 99 {
+	if p.NeighborsRaw(1)[0] == 99 {
 		t.Fatal("Neighbors exposed internal storage")
 	}
 }

@@ -171,8 +171,8 @@ func (c oracleComponent) indexOf(parent int) int {
 
 // sameCSR reports the first difference between two trees' CSR arrays.
 func sameCSR(got, want *Tree) error {
-	if got.M() != want.M() || got.MaxDegree() != want.MaxDegree() {
-		return fmt.Errorf("m/maxDeg %d/%d, want %d/%d", got.M(), got.MaxDegree(), want.M(), want.MaxDegree())
+	if got.m != want.m || got.MaxDegree() != want.MaxDegree() {
+		return fmt.Errorf("m/maxDeg %d/%d, want %d/%d", got.m, got.MaxDegree(), want.m, want.MaxDegree())
 	}
 	if !slices.Equal(got.Offsets(), want.Offsets()) {
 		return fmt.Errorf("offsets %v, want %v", got.Offsets(), want.Offsets())
@@ -316,8 +316,8 @@ func TestBuilderMatchesAppendBuilder(t *testing.T) {
 				t.Fatalf("trial %d: AddEdge(%d,%d) = %v, oracle %v", trial, e.u, e.v, gerr, werr)
 			}
 		}
-		if b.N() != n {
-			t.Fatalf("trial %d: N() = %d, want %d", trial, b.N(), n)
+		if b.n != n {
+			t.Fatalf("trial %d: n = %d, want %d", trial, b.n, n)
 		}
 		got, gerr := b.Build()
 		want, werr := ob.build()

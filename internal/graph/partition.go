@@ -43,9 +43,6 @@ type Layout struct {
 	BoundaryEdges int
 }
 
-// Shards returns the number of shards of the layout.
-func (l *Layout) Shards() int { return len(l.Cuts) - 1 }
-
 // Inverse returns the inverse permutation (position -> construction index),
 // or nil if the layout's Perm is the identity.
 func (l *Layout) Inverse() []int32 {

@@ -55,8 +55,8 @@ func checkLayout(t *testing.T, tr *Tree, k int, l *Layout) {
 	if want < 1 {
 		want = 1
 	}
-	if got := l.Shards(); got != want {
-		t.Fatalf("Shards() = %d, want %d (n=%d, k=%d)", got, want, n, k)
+	if got := len(l.Cuts) - 1; got != want {
+		t.Fatalf("%d shards, want %d (n=%d, k=%d)", got, want, n, k)
 	}
 
 	// Cuts: strictly increasing from 0 to n — every shard non-empty.
@@ -233,7 +233,7 @@ func TestPermuteTree(t *testing.T) {
 		if err := pt.Validate(); err != nil {
 			t.Fatalf("%s: permuted tree invalid: %v", name, err)
 		}
-		if pt.N() != tr.N() || pt.M() != tr.M() || pt.MaxDegree() != tr.MaxDegree() {
+		if pt.N() != tr.N() || pt.m != tr.m || pt.MaxDegree() != tr.MaxDegree() {
 			t.Fatalf("%s: permuted tree shape mismatch", name)
 		}
 		for v := 0; v < tr.N(); v++ {
@@ -241,7 +241,7 @@ func TestPermuteTree(t *testing.T) {
 				t.Fatalf("%s: degree of %d changed under permutation", name, v)
 			}
 			for p := 0; p < tr.Degree(v); p++ {
-				if got, want := pt.Neighbor(int(perm[v]), p), int(perm[tr.Neighbor(v, p)]); got != want {
+				if got, want := int(pt.NeighborsRaw(int(perm[v]))[p]), int(perm[tr.NeighborsRaw(v)[p]]); got != want {
 					t.Fatalf("%s: port %d of node %d maps to %d, want %d", name, p, v, got, want)
 				}
 			}

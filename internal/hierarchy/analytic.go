@@ -10,10 +10,10 @@ import (
 )
 
 // Execution is the outcome of running the generic algorithm: per-node output
-// labels and termination rounds. It is produced both by the simulator (via
-// sim.Engine.Run + CollectExecution) and by RunAnalytic; the two agree
-// exactly (asserted by tests), which lets parameter sweeps use the analytic
-// path on instances far beyond what message-level simulation can reach.
+// labels and termination rounds. RunAnalytic produces it, and it agrees
+// exactly with the outputs and rounds of the simulated Generic machine
+// (asserted by tests), which lets parameter sweeps use the analytic path on
+// instances far beyond what message-level simulation can reach.
 type Execution struct {
 	Out []Label
 	sim.Rounds
@@ -273,21 +273,4 @@ func runLinialSegment(seg []int, ids []uint64) ([]int64, int, error) {
 		colors[j] = reducers[j].Color()
 	}
 	return colors, rounds, nil
-}
-
-// CollectExecution converts a simulator result whose outputs are Labels into
-// an Execution.
-func CollectExecution(outputs []any, rounds []int) (*Execution, error) {
-	ex := &Execution{
-		Out:    make([]Label, len(outputs)),
-		Rounds: append([]int(nil), rounds...),
-	}
-	for v, o := range outputs {
-		lab, ok := o.(Label)
-		if !ok {
-			return nil, fmt.Errorf("hierarchy: node %d output %T, want Label", v, o)
-		}
-		ex.Out[v] = lab
-	}
-	return ex, nil
 }

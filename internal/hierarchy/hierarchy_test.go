@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -27,6 +28,23 @@ func levelInputs(levels []int) []any {
 	return in
 }
 
+// collectExecution converts a simulator result whose outputs are Labels into
+// an Execution.
+func collectExecution(outputs []any, rounds []int) (*Execution, error) {
+	ex := &Execution{
+		Out:    make([]Label, len(outputs)),
+		Rounds: append([]int(nil), rounds...),
+	}
+	for v, o := range outputs {
+		lab, ok := o.(Label)
+		if !ok {
+			return nil, fmt.Errorf("hierarchy: node %d output %T, want Label", v, o)
+		}
+		ex.Out[v] = lab
+	}
+	return ex, nil
+}
+
 // runBoth runs the generic algorithm through the simulator and analytically,
 // asserts they agree exactly, verifies the output, and returns the
 // execution.
@@ -43,7 +61,7 @@ func runBoth(t *testing.T, tr *graph.Tree, sched *Schedule, seed uint64) *Execut
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	simEx, err := CollectExecution(res.Outputs, res.Rounds)
+	simEx, err := collectExecution(res.Outputs, res.Rounds)
 	if err != nil {
 		t.Fatal(err)
 	}

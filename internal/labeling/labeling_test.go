@@ -2,7 +2,6 @@ package labeling
 
 import (
 	"errors"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -210,14 +209,48 @@ func TestBuildAugInstance(t *testing.T) {
 	if inst.Tree.MaxDegree() > 5 {
 		t.Fatalf("max degree %d > 5", inst.Tree.MaxDegree())
 	}
-	if inst.NumCore != 8*10+10 {
-		t.Fatalf("core size %d", inst.NumCore)
+	h, err := graph.BuildHierarchical([]int{8, 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for root, host := range inst.Roots {
-		if !inst.Tree.HasEdge(root, host) || !inst.Weight[root] || inst.Weight[host] {
-			t.Fatal("root/host structure broken")
+	nCore := h.Tree.N()
+	if nCore != 8*10+10 || slices.Contains(inst.Weight[:nCore], true) || slices.Contains(inst.Weight[nCore:], false) {
+		t.Fatalf("core is not nodes 0..%d", 8*10+10-1)
+	}
+	// Every core node at construction level 2 or more hosts exactly one
+	// weight tree, whose root has the host as port 0, and no other core
+	// node has a weight neighbour.
+	for host := range nCore {
+		var roots []int
+		for _, w := range inst.Tree.NeighborsRaw(host) {
+			if inst.Weight[w] {
+				roots = append(roots, int(w))
+			}
+		}
+		want := 0
+		if h.ConsLevel[host] >= 2 {
+			want = 1
+		}
+		if len(roots) != want {
+			t.Fatalf("core node %d (level %d) has weight neighbours %v, want %d",
+				host, h.ConsLevel[host], roots, want)
+		}
+		if want == 1 && int(inst.Tree.NeighborsRaw(roots[0])[0]) != host {
+			t.Fatalf("weight root %d: port 0 is not its host %d", roots[0], host)
 		}
 	}
+}
+
+// weightRoots returns the roots of inst's weight trees in ascending order:
+// the weight nodes whose port-0 neighbour, their host, is a core node.
+func weightRoots(inst *AugInstance) []int {
+	var roots []int
+	for v, w := range inst.Weight {
+		if w && !inst.Weight[inst.Tree.NeighborsRaw(v)[0]] {
+			roots = append(roots, v)
+		}
+	}
+	return roots
 }
 
 // mustAugSplit returns the Split of tr whose active nodes are the ones
@@ -321,7 +354,7 @@ func TestVerifyAugRejectsBrokenOutputs(t *testing.T) {
 	}
 	// Root copying the wrong label.
 	out := append([]AugOutput(nil), res.Out...)
-	for root := range inst.Roots {
+	for _, root := range weightRoots(inst) {
 		sec := out[root].Secondary
 		if !sec.Decline {
 			wrong := sec
@@ -378,7 +411,7 @@ func TestVerifyAugTotalOnGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := slices.Sorted(maps.Keys(inst.Roots))
+	roots := weightRoots(inst)
 	rng := rand.New(rand.NewSource(29))
 	outside := 0
 	for trial := 0; trial < 400; trial++ {
@@ -465,7 +498,8 @@ func TestAugCopyNodesWaitForActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for root, host := range inst.Roots {
+	for _, root := range weightRoots(inst) {
+		host := int(inst.Tree.NeighborsRaw(root)[0])
 		if res.Rounds[root] <= res.Rounds[host] {
 			t.Fatalf("weight root %d (T=%d) did not wait for host %d (T=%d)",
 				root, res.Rounds[root], host, res.Rounds[host])

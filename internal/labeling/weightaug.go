@@ -39,13 +39,10 @@ type AugOutput struct {
 // AugInstance is a weight-augmented instance: a tree with Active/Weight
 // marks.
 type AugInstance struct {
-	K       int
-	Delta   int
-	Tree    *graph.Tree
-	Weight  []bool // true = weight node
-	NumCore int    // number of active (hierarchical-core) nodes
-	// Roots maps each attached weight-tree root to its active host.
-	Roots map[int]int
+	K      int
+	Delta  int
+	Tree   *graph.Tree
+	Weight []bool // true = weight node
 }
 
 // BuildAugInstance builds the Definition-25-style instance for the
@@ -77,7 +74,7 @@ func BuildAugInstanceFrom(k, delta int, h *graph.Hierarchical, weightPerLevel in
 	if h.K != k {
 		return nil, fmt.Errorf("labeling: %d-level core for k=%d", h.K, k)
 	}
-	tree, roots, err := graph.BuildWeightedHierarchical(h, delta, weightPerLevel)
+	tree, err := graph.BuildWeightedHierarchical(h, delta, weightPerLevel)
 	if err != nil {
 		return nil, err
 	}
@@ -86,12 +83,10 @@ func BuildAugInstanceFrom(k, delta int, h *graph.Hierarchical, weightPerLevel in
 		weight[v] = true
 	}
 	return &AugInstance{
-		K:       k,
-		Delta:   delta,
-		Tree:    tree,
-		Weight:  weight,
-		NumCore: h.Tree.N(),
-		Roots:   roots,
+		K:      k,
+		Delta:  delta,
+		Tree:   tree,
+		Weight: weight,
 	}, nil
 }
 

@@ -133,43 +133,6 @@ func Alphas(regime Regime, x float64, k int) ([]float64, error) {
 	return out, nil
 }
 
-// ExponentsPoly returns the k exponents B_1..B_k of the polynomial-regime
-// optimisation problem for the given α vector:
-//
-//	B_i = (x−1)·Σ_{j<i} α_j + α_i      (i < k)
-//	B_k = 1 + (x−2)·Σ_{j<k} α_j
-//
-// At the optimum (Alphas) all B_i are equal to α_1 (Lemma 33); tests verify
-// this.
-func ExponentsPoly(alphas []float64, x float64) []float64 {
-	k := len(alphas) + 1
-	out := make([]float64, k)
-	prefix := 0.0
-	for i := 1; i < k; i++ {
-		out[i-1] = (x-1)*prefix + alphas[i-1]
-		prefix += alphas[i-1]
-	}
-	out[k-1] = 1 + (x-2)*prefix
-	return out
-}
-
-// ExponentsLogStar returns the k exponents of the log*-regime optimisation
-// problem (Section 6.2):
-//
-//	B_i = (x−1)·Σ_{j<i} α_j + α_i      (i < k)
-//	B_k = 1 + (x−1)·Σ_{j<k} α_j
-func ExponentsLogStar(alphas []float64, x float64) []float64 {
-	k := len(alphas) + 1
-	out := make([]float64, k)
-	prefix := 0.0
-	for i := 1; i < k; i++ {
-		out[i-1] = (x-1)*prefix + alphas[i-1]
-		prefix += alphas[i-1]
-	}
-	out[k-1] = 1 + (x-1)*prefix
-	return out
-}
-
 // InverseAlpha1 computes x = α_1^{-1}(target) for the given regime and k by
 // bisection; α_1 is continuous and strictly increasing on [0,1]
 // (Lemmas 57/61), so the inverse is well defined for targets in
@@ -199,19 +162,4 @@ func InverseAlpha1(regime Regime, target float64, k int) (float64, error) {
 		}
 	}
 	return (lo + hi) / 2, nil
-}
-
-// KForRange returns the smallest k with 1/(2^k−1) <= r1 (so that the α_1
-// range of the k-family covers targets at or above r1, cf. Lemma 58 and
-// Theorem 6).
-func KForRange(r1 float64) (int, error) {
-	if r1 <= 0 || r1 >= 1 {
-		return 0, fmt.Errorf("%w: r1 = %v outside (0,1)", ErrBadParam, r1)
-	}
-	for k := 1; k <= 62; k++ {
-		if 1/(math.Pow(2, float64(k))-1) <= r1 {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: r1 = %v too small", ErrBadParam, r1)
 }

@@ -100,6 +100,26 @@ func TestAlpha1Monotone(t *testing.T) {
 	}
 }
 
+// exponents returns the k exponents B_1..B_k of the optimisation problem
+// for the given α vector:
+//
+//	B_i = (x−1)·Σ_{j<i} α_j + α_i      (i < k)
+//	B_k = 1 + c·Σ_{j<k} α_j
+//
+// with c = x−2 in the polynomial regime and c = x−1 in the log* regime
+// (Section 6.2).
+func exponents(alphas []float64, x, c float64) []float64 {
+	k := len(alphas) + 1
+	out := make([]float64, k)
+	prefix := 0.0
+	for i := 1; i < k; i++ {
+		out[i-1] = (x-1)*prefix + alphas[i-1]
+		prefix += alphas[i-1]
+	}
+	out[k-1] = 1 + c*prefix
+	return out
+}
+
 func TestOptimalAlphasEqualizeExponents(t *testing.T) {
 	// Lemma 33 / Lemma 36: at the optimum, B_1 = B_2 = ... = B_k = α_1.
 	for _, k := range []int{2, 3, 4, 5} {
@@ -108,7 +128,7 @@ func TestOptimalAlphasEqualizeExponents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bPoly := ExponentsPoly(aPoly, x)
+			bPoly := exponents(aPoly, x, x-2)
 			for i, b := range bPoly {
 				if !almost(b, aPoly[0], 1e-9) {
 					t.Fatalf("poly k=%d x=%v: B_%d = %v != α1 = %v", k, x, i+1, b, aPoly[0])
@@ -118,7 +138,7 @@ func TestOptimalAlphasEqualizeExponents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bLS := ExponentsLogStar(aLS, x)
+			bLS := exponents(aLS, x, x-1)
 			for i, b := range bLS {
 				if !almost(b, aLS[0], 1e-9) {
 					t.Fatalf("log* k=%d x=%v: B_%d = %v != α1 = %v", k, x, i+1, b, aLS[0])
@@ -279,21 +299,6 @@ func TestFindLogStarParamsTheorem6(t *testing.T) {
 		if p.Delta < p.D+3 || p.D < 1 {
 			t.Fatalf("invalid (Δ=%d, d=%d)", p.Delta, p.D)
 		}
-	}
-}
-
-func TestKForRange(t *testing.T) {
-	k, err := KForRange(0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 2 { // 1/(2^2−1) = 1/3 > 0.3 → k=3? 1/3 ≈ 0.333 > 0.3, so k must be 3.
-		if k != 3 {
-			t.Fatalf("KForRange(0.3) = %d", k)
-		}
-	}
-	if _, err := KForRange(0); err == nil {
-		t.Error("r1=0 accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package pathlcl implements the decidability machinery that Section 11 of
-// the paper bottoms out in: classification of LCLs on paths (Lemma 81,
-// Observation 78) and the black-white formalism of Definition 70 with the
-// single-node label-set computation of Definition 74.
+// the paper bottoms out in: the classification of LCLs on paths (Lemma 81,
+// Observation 78).
 //
 // Path LCLs are given by a finite output alphabet and a symmetric
 // compatibility relation on adjacent outputs (no inputs; endpoints
@@ -147,73 +146,6 @@ func hasOddClosedWalk(p Problem) bool {
 		}
 	}
 	return false
-}
-
-// VerifyLabeling checks a labeling of a path (nodes in path order).
-func (p Problem) VerifyLabeling(labels []int) error {
-	for i, l := range labels {
-		if l < 0 || l >= p.Labels {
-			return fmt.Errorf("%w: label %d at position %d", ErrBadProblem, l, i)
-		}
-		if i > 0 && !p.Allowed[labels[i-1]][l] {
-			return fmt.Errorf("%w: pair (%d,%d) at positions %d,%d not allowed",
-				ErrBadProblem, labels[i-1], l, i-1, i)
-		}
-	}
-	return nil
-}
-
-// SolvePath produces a valid labeling of a path with n nodes for any
-// solvable problem, using the class-appropriate strategy (constant labeling,
-// walk unrolling, or parity). Used by tests to confirm Classify's
-// solvability verdicts constructively.
-func SolvePath(p Problem, n int) ([]int, error) {
-	class, err := Classify(p)
-	if err != nil {
-		return nil, err
-	}
-	switch class {
-	case ClassUnsolvable:
-		if n == 1 {
-			return []int{0}, nil
-		}
-		return nil, fmt.Errorf("pathlcl: %q unsolvable for n=%d", p.Name, n)
-	case ClassConstant:
-		for a := 0; a < p.Labels; a++ {
-			if p.Allowed[a][a] {
-				out := make([]int, n)
-				for i := range out {
-					out[i] = a
-				}
-				return out, nil
-			}
-		}
-		return nil, fmt.Errorf("pathlcl: internal: constant class without self-loop")
-	default:
-		// Unroll any walk: greedily continue from an arbitrary edge.
-		var a, b int
-		found := false
-		for a = 0; a < p.Labels && !found; a++ {
-			for b = 0; b < p.Labels; b++ {
-				if p.Allowed[a][b] {
-					found = true
-					break
-				}
-			}
-			if found {
-				break
-			}
-		}
-		out := make([]int, n)
-		for i := range out {
-			if i%2 == 0 {
-				out[i] = a
-			} else {
-				out[i] = b
-			}
-		}
-		return out, nil
-	}
 }
 
 // Catalogue returns the classical path LCLs used in the experiments

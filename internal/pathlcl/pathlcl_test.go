@@ -1,6 +1,7 @@
 package pathlcl
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -59,17 +60,17 @@ func TestSolvePathProducesValidLabelings(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 2, 5, 40} {
-			labels, err := SolvePath(p, n)
+			labels, err := solvePath(p, n)
 			if class == ClassUnsolvable && n >= 2 {
 				if err == nil {
-					t.Errorf("%s: unsolvable but SolvePath succeeded", p.Name)
+					t.Errorf("%s: unsolvable but solvePath succeeded", p.Name)
 				}
 				continue
 			}
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", p.Name, n, err)
 			}
-			if err := p.VerifyLabeling(labels); err != nil {
+			if err := verifyLabeling(p, labels); err != nil {
 				t.Fatalf("%s n=%d: %v", p.Name, n, err)
 			}
 		}
@@ -79,10 +80,10 @@ func TestSolvePathProducesValidLabelings(t *testing.T) {
 func TestTwoColoringNeedsParity(t *testing.T) {
 	p := findProblem(t, "2-coloring")
 	// All-same labeling must be rejected by the verifier.
-	if p.VerifyLabeling([]int{0, 0}) == nil {
+	if verifyLabeling(p, []int{0, 0}) == nil {
 		t.Fatal("monochromatic edge accepted")
 	}
-	if p.VerifyLabeling([]int{0, 1, 0, 1}) != nil {
+	if verifyLabeling(p, []int{0, 1, 0, 1}) != nil {
 		t.Fatal("alternating labeling rejected")
 	}
 }
@@ -118,11 +119,11 @@ func TestQuickClassifyTotal(t *testing.T) {
 		}
 		// Constructive cross-check: solvable classes must actually solve.
 		if class != ClassUnsolvable {
-			lab, err := SolvePath(p, 17)
+			lab, err := solvePath(p, 17)
 			if err != nil {
 				return false
 			}
-			if p.VerifyLabeling(lab) != nil {
+			if verifyLabeling(p, lab) != nil {
 				return false
 			}
 		}
@@ -133,64 +134,75 @@ func TestQuickClassifyTotal(t *testing.T) {
 	}
 }
 
-func TestSingleNodeLabelSetEdgeColoring(t *testing.T) {
-	p := EdgeColoringBW()
-	// Degree-2 node with one incoming edge whose label-set is {0}: the
-	// outgoing edge must take {1}.
-	got, err := SingleNodeLabelSet(p, SideWhite, []int{0}, []LabelSet{NewLabelSet(0)}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || !got[1] {
-		t.Fatalf("label set %v, want {1}", got.Sorted())
-	}
-	// Incoming {0,1}: outgoing may be either.
-	got, err = SingleNodeLabelSet(p, SideWhite, []int{0}, []LabelSet{NewLabelSet(0, 1)}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("label set %v, want {0,1}", got.Sorted())
-	}
-	// Leaf (no incoming): both singles allowed.
-	got, err = SingleNodeLabelSet(p, SideBlack, nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("leaf label set %v, want {0,1}", got.Sorted())
-	}
-}
-
-func TestSingleNodeLabelSetEmptyWhenOverconstrained(t *testing.T) {
-	p := EdgeColoringBW()
-	// Two incoming edges already forcing both colors, no 3-edge multiset
-	// exists: outgoing set must be empty (this is how the testing procedure
-	// detects functions that are not good).
-	got, err := SingleNodeLabelSet(p, SideWhite,
-		[]int{0, 0}, []LabelSet{NewLabelSet(0), NewLabelSet(1)}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("label set %v, want empty", got.Sorted())
-	}
-}
-
-func TestMultisetCanon(t *testing.T) {
-	m := Multiset{{1, 2}, {0, 3}, {0, 1}}
-	c := m.Canon()
-	if c[0] != (Pair{0, 1}) || c[1] != (Pair{0, 3}) || c[2] != (Pair{1, 2}) {
-		t.Fatalf("canon = %v", c)
-	}
-	// Original untouched.
-	if m[0] != (Pair{1, 2}) {
-		t.Fatal("Canon mutated its receiver")
-	}
-}
-
 func TestClassString(t *testing.T) {
 	if ClassConstant.String() != "O(1)" || ClassLinear.String() != "Θ(n)" {
 		t.Fatal("class names wrong")
+	}
+}
+
+// verifyLabeling checks a labeling of a path (nodes in path order).
+func verifyLabeling(p Problem, labels []int) error {
+	for i, l := range labels {
+		if l < 0 || l >= p.Labels {
+			return fmt.Errorf("%w: label %d at position %d", ErrBadProblem, l, i)
+		}
+		if i > 0 && !p.Allowed[labels[i-1]][l] {
+			return fmt.Errorf("%w: pair (%d,%d) at positions %d,%d not allowed",
+				ErrBadProblem, labels[i-1], l, i-1, i)
+		}
+	}
+	return nil
+}
+
+// solvePath produces a valid labeling of a path with n nodes for any
+// solvable problem, using the class-appropriate strategy (constant labeling,
+// walk unrolling, or parity), so the tests confirm Classify's solvability
+// verdicts constructively.
+func solvePath(p Problem, n int) ([]int, error) {
+	class, err := Classify(p)
+	if err != nil {
+		return nil, err
+	}
+	switch class {
+	case ClassUnsolvable:
+		if n == 1 {
+			return []int{0}, nil
+		}
+		return nil, fmt.Errorf("pathlcl: %q unsolvable for n=%d", p.Name, n)
+	case ClassConstant:
+		for a := 0; a < p.Labels; a++ {
+			if p.Allowed[a][a] {
+				out := make([]int, n)
+				for i := range out {
+					out[i] = a
+				}
+				return out, nil
+			}
+		}
+		return nil, fmt.Errorf("pathlcl: internal: constant class without self-loop")
+	default:
+		// Unroll any walk: greedily continue from an arbitrary edge.
+		var a, b int
+		found := false
+		for a = 0; a < p.Labels && !found; a++ {
+			for b = 0; b < p.Labels; b++ {
+				if p.Allowed[a][b] {
+					found = true
+					break
+				}
+			}
+			if found {
+				break
+			}
+		}
+		out := make([]int, n)
+		for i := range out {
+			if i%2 == 0 {
+				out[i] = a
+			} else {
+				out[i] = b
+			}
+		}
+		return out, nil
 	}
 }

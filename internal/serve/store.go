@@ -55,9 +55,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path maps a ResultKey to its file, rejecting keys that would escape the
 // store directory. ResultKeys are kebab-case names plus "__preset__seedN",
 // so a separator or dot-segment only ever appears in a forged key.

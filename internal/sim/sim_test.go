@@ -255,3 +255,30 @@ func TestMessagesCounted(t *testing.T) {
 		t.Fatal("expected nonzero message count")
 	}
 }
+
+func mustPath(t *testing.T, n int) *graph.Tree {
+	t.Helper()
+	tr, err := graph.BuildPath(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func mustStar(t *testing.T, n int) *graph.Tree {
+	t.Helper()
+	tr, err := graph.BuildStar(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func mustCaterpillar(t *testing.T, a, b int) *graph.Tree {
+	t.Helper()
+	tr, err := graph.BuildCaterpillar(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}

@@ -16,13 +16,7 @@ type Instance struct {
 	// Hier is the active-core construction metadata (indices of the active
 	// nodes coincide with the hierarchical graph's node indices).
 	Hier *graph.Hierarchical
-	// WeightRoots maps the root of each attached weight tree to its host
-	// active node.
-	WeightRoots map[int]int
 }
-
-// NumActive returns the number of active nodes.
-func (in *Instance) NumActive() int { return in.Hier.Tree.N() }
 
 // Split returns NewSplit of the instance at its problem's depth k. A sweep
 // point builds it once and passes it to the solver and the verifier.
@@ -61,7 +55,7 @@ func BuildInstanceFrom(p Problem, h *graph.Hierarchical, weightPerLevel int) (*I
 	if h.K != p.K {
 		return nil, fmt.Errorf("weighted: %d-level core for k=%d", h.K, p.K)
 	}
-	tree, roots, err := graph.BuildWeightedHierarchical(h, p.Delta, weightPerLevel)
+	tree, err := graph.BuildWeightedHierarchical(h, p.Delta, weightPerLevel)
 	if err != nil {
 		return nil, err
 	}
@@ -70,11 +64,10 @@ func BuildInstanceFrom(p Problem, h *graph.Hierarchical, weightPerLevel int) (*I
 		inputs[v] = InputWeight
 	}
 	return &Instance{
-		Problem:     p,
-		Tree:        tree,
-		Inputs:      inputs,
-		Hier:        h,
-		WeightRoots: roots,
+		Problem: p,
+		Tree:    tree,
+		Inputs:  inputs,
+		Hier:    h,
 	}, nil
 }
 

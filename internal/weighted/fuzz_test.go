@@ -57,7 +57,7 @@ func TestVerifierCatchesAllDecliningRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for root := range inst.WeightRoots {
+	for _, root := range weightRoots(inst) {
 		out := append([]Output(nil), res.Out...)
 		out[root] = Output{Kind: KindDecline}
 		if p.Verify(split, out) == nil {

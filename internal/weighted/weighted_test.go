@@ -53,7 +53,7 @@ func TestBuildInstanceShape(t *testing.T) {
 	if inst.Tree.MaxDegree() > p.Delta {
 		t.Fatalf("max degree %d > Δ=%d", inst.Tree.MaxDegree(), p.Delta)
 	}
-	nActive := inst.NumActive()
+	nActive := inst.Hier.Tree.N()
 	if nActive != 10*12+12 {
 		t.Fatalf("active core %d nodes, want 132", nActive)
 	}
@@ -69,15 +69,41 @@ func TestBuildInstanceShape(t *testing.T) {
 	if weight < 400 {
 		t.Fatalf("only %d weight nodes for budget 500", weight)
 	}
-	// Every weight root is adjacent to its level-2 host.
-	for root, host := range inst.WeightRoots {
-		if !inst.Tree.HasEdge(root, host) {
-			t.Fatalf("weight root %d not adjacent to host %d", root, host)
+	// Every core node at construction level 2 or more hosts exactly one
+	// weight tree, whose root has the host as port 0, and no other core
+	// node has a weight neighbour.
+	for host := range nActive {
+		var roots []int
+		for _, w := range inst.Tree.NeighborsRaw(host) {
+			if inst.Inputs[w] == InputWeight {
+				roots = append(roots, int(w))
+			}
 		}
-		if inst.Inputs[root] != InputWeight || inst.Inputs[host] != InputActive {
-			t.Fatal("weight root / host inputs wrong")
+		want := 0
+		if inst.Hier.ConsLevel[host] >= 2 {
+			want = 1
+		}
+		if len(roots) != want {
+			t.Fatalf("core node %d (level %d) has weight neighbours %v, want %d",
+				host, inst.Hier.ConsLevel[host], roots, want)
+		}
+		if want == 1 && int(inst.Tree.NeighborsRaw(roots[0])[0]) != host {
+			t.Fatalf("weight root %d: port 0 is not its host %d", roots[0], host)
 		}
 	}
+}
+
+// weightRoots returns the roots of inst's weight trees in ascending order:
+// the weight nodes whose port-0 neighbour, their host, is a core node.
+func weightRoots(inst *Instance) []int {
+	nCore := inst.Hier.Tree.N()
+	var roots []int
+	for v := nCore; v < inst.Tree.N(); v++ {
+		if int(inst.Tree.NeighborsRaw(v)[0]) < nCore {
+			roots = append(roots, v)
+		}
+	}
+	return roots
 }
 
 func TestBuildInstanceRejectsBadParams(t *testing.T) {
@@ -319,16 +345,14 @@ func TestVerifyRejectsBrokenWeightedOutputs(t *testing.T) {
 	}
 	// Weight root declining next to active violates property 2.
 	out := append([]Output(nil), res.Out...)
-	for root := range inst.WeightRoots {
-		out[root] = Output{Kind: KindDecline}
-		break
-	}
+	roots := weightRoots(inst)
+	out[roots[0]] = Output{Kind: KindDecline}
 	if p.Verify(split, out) == nil {
 		t.Error("declining A-weight node accepted")
 	}
 	// Copy with wrong secondary violates property 5.
 	out = append([]Output(nil), res.Out...)
-	for root := range inst.WeightRoots {
+	for _, root := range roots {
 		if out[root].Kind == KindCopy {
 			wrong := hierarchy.LabelW
 			if out[root].Label == hierarchy.LabelW {
@@ -383,7 +407,8 @@ func TestCopyWaitsForActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked := 0
-	for root, host := range inst.WeightRoots {
+	for _, root := range weightRoots(inst) {
+		host := int(inst.Tree.NeighborsRaw(root)[0])
 		if res.Out[root].Kind != KindCopy {
 			continue
 		}
