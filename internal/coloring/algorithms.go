@@ -23,7 +23,7 @@ func (a LinialAlgorithm) Name() string { return "linial-coloring" }
 
 // NewMachine implements sim.Algorithm.
 func (a LinialAlgorithm) NewMachine(info sim.NodeInfo) sim.Machine {
-	m := &linialMachine{send: make([]any, info.Degree)}
+	m := &linialMachine{send: make([]any, info.Degree), sent: -1}
 	if err := m.reducer.init(info.ID, a.Delta, IDSpace63); err != nil {
 		// Construction can only fail on delta < 1, a static misuse.
 		panic(err)
@@ -33,8 +33,11 @@ func (a LinialAlgorithm) NewMachine(info sim.NodeInfo) sim.Machine {
 
 type linialMachine struct {
 	reducer Reducer
-	// send is reused every round (the sim.Machine.Step buffer rules).
+	// send is reused every round (the sim.Machine.Step buffer rules). Every
+	// entry holds one boxed colorMsg carrying sent, the color of the last
+	// fill; sent starts at -1, which no color of a 63-bit ID ever is.
 	send []any
+	sent int64
 }
 
 // colorMsg carries a node's current color.
@@ -42,17 +45,21 @@ type colorMsg struct{ color int64 }
 
 func (m *linialMachine) Step(round int, recv []any) ([]any, bool) {
 	if round > 0 {
-		var buf [stackDegree]int64
 		var nbr []int64
-		if len(recv) <= len(buf) {
-			nbr = buf[:len(recv)]
-		} else {
-			nbr = make([]int64, len(recv))
-		}
-		for i, msg := range recv {
-			nbr[i] = -1
-			if cm, ok := msg.(colorMsg); ok {
-				nbr[i] = cm.color
+		// A greedy round of another color class only counts the class down,
+		// so recv is decoded only for a round that reads it.
+		if m.reducer.readsNeighbors() {
+			var buf [stackDegree]int64
+			if len(recv) <= len(buf) {
+				nbr = buf[:len(recv)]
+			} else {
+				nbr = make([]int64, len(recv))
+			}
+			for i, msg := range recv {
+				nbr[i] = -1
+				if cm, ok := msg.(colorMsg); ok {
+					nbr[i] = cm.color
+				}
 			}
 		}
 		if err := m.reducer.Advance(nbr); err != nil {
@@ -64,10 +71,14 @@ func (m *linialMachine) Step(round int, recv []any) ([]any, bool) {
 			return nil, true
 		}
 	}
-	// One boxed message serves every port.
-	msg := any(colorMsg{color: m.reducer.Color()})
-	for i := range m.send {
-		m.send[i] = msg
+	// One boxed message serves every port, and it is immutable, so send is
+	// refilled only when the color has changed since the last fill.
+	if c := m.reducer.Color(); c != m.sent {
+		msg := any(colorMsg{color: c})
+		for i := range m.send {
+			m.send[i] = msg
+		}
+		m.sent = c
 	}
 	return m.send, false
 }
@@ -114,11 +125,19 @@ type twoColorMachine struct {
 }
 
 func (m *twoColorMachine) Step(round int, recv []any) ([]any, bool) {
+	learned := false
 	for p, msg := range recv[:min(len(recv), len(m.ends))] {
 		if em, ok := msg.(endpointMsg); ok && !m.known[p] {
 			m.ends[p] = em
 			m.known[p] = true
+			learned = true
 		}
+	}
+	// Every send and the termination happen in an endpoint's round-0
+	// announcement or in a step that learns an endpoint (a terminated
+	// neighbor's frozen output is not one), so any other step is idle.
+	if round > 0 && !learned {
+		return nil, false
 	}
 	switch m.info.Degree {
 	case 0:

@@ -213,6 +213,13 @@ func (r *Reducer) Advance(neighborColors []int64) error {
 	return nil
 }
 
+// readsNeighbors reports whether the next Advance reads its neighbor colors:
+// every reduction round does, and a greedy round only when it eliminates
+// the node's own color class. Any other round ignores its argument.
+func (r *Reducer) readsNeighbors() bool {
+	return r.phase < len(r.schedule) || r.color == int64(r.greedyC)
+}
+
 // smallestFree returns the smallest color >= 0 that no entry of colors
 // holds. It is at most len(colors), so marks for 0..len(colors) suffice.
 func smallestFree(colors []int64) int64 {

@@ -1,13 +1,18 @@
 package coloring
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 // oracleReducer is the straightforward Reducer the differential tests hold
@@ -568,5 +573,252 @@ func TestVerifyProperColoringAllocatesNothing(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("%v allocations per call, want 0", allocs)
+	}
+}
+
+// oracleLinialMachine is linialMachine with the Step it had before idle
+// greedy rounds returned at once: every round after round 0 decodes every
+// neighbor message, and every round boxes the color afresh and refills
+// every port.
+type oracleLinialMachine struct{ linialMachine }
+
+func (m *oracleLinialMachine) Step(round int, recv []any) ([]any, bool) {
+	if round > 0 {
+		var buf [stackDegree]int64
+		var nbr []int64
+		if len(recv) <= len(buf) {
+			nbr = buf[:len(recv)]
+		} else {
+			nbr = make([]int64, len(recv))
+		}
+		for i, msg := range recv {
+			nbr[i] = -1
+			if cm, ok := msg.(colorMsg); ok {
+				nbr[i] = cm.color
+			}
+		}
+		if err := m.reducer.Advance(nbr); err != nil {
+			panic(err)
+		}
+		if m.reducer.Done() {
+			return nil, true
+		}
+	}
+	msg := any(colorMsg{color: m.reducer.Color()})
+	for i := range m.send {
+		m.send[i] = msg
+	}
+	return m.send, false
+}
+
+type oracleLinialAlgorithm struct{ Delta int }
+
+func (a oracleLinialAlgorithm) Name() string { return "oracle-linial-coloring" }
+
+func (a oracleLinialAlgorithm) NewMachine(info sim.NodeInfo) sim.Machine {
+	m := &oracleLinialMachine{linialMachine{send: make([]any, info.Degree)}}
+	if err := m.reducer.init(info.ID, a.Delta, IDSpace63); err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// oracleTwoColorMachine is twoColorMachine with the Step it had before a
+// step that learns no endpoint returned at once: every step type-checks its
+// inbox and recomputes both send slots.
+type oracleTwoColorMachine struct{ twoColorMachine }
+
+func (m *oracleTwoColorMachine) Step(round int, recv []any) ([]any, bool) {
+	for p, msg := range recv[:min(len(recv), len(m.ends))] {
+		if em, ok := msg.(endpointMsg); ok && !m.known[p] {
+			m.ends[p] = em
+			m.known[p] = true
+		}
+	}
+	switch m.info.Degree {
+	case 0:
+		m.out = 0
+		return nil, true
+	case 1:
+		var send []any
+		if !m.sent[0] {
+			m.send[0] = endpointMsg{id: m.info.ID, dist: 1}
+			send = m.send[:1]
+			m.sent[0] = true
+		}
+		if m.known[0] {
+			m.out = m.colorFrom(endpointMsg{id: m.info.ID, dist: 0}, m.ends[0])
+			return send, true
+		}
+		return send, false
+	default:
+		var send []any
+		for p := 0; p < 2; p++ {
+			other := 1 - p
+			m.send[p] = nil
+			if m.known[other] && !m.sent[p] {
+				m.send[p] = endpointMsg{id: m.ends[other].id, dist: m.ends[other].dist + 1}
+				m.sent[p] = true
+				send = m.send[:]
+			}
+		}
+		if m.known[0] && m.known[1] {
+			m.out = m.colorFrom(m.ends[0], m.ends[1])
+			return send, true
+		}
+		return send, false
+	}
+}
+
+type oracleTwoColorAlgorithm struct{}
+
+func (oracleTwoColorAlgorithm) Name() string { return "oracle-two-color-path" }
+
+func (oracleTwoColorAlgorithm) NewMachine(info sim.NodeInfo) sim.Machine {
+	return &oracleTwoColorMachine{twoColorMachine{info: info}}
+}
+
+// sendDigests wraps an algorithm so that each machine folds every message
+// it sends, with the round, its node ID and the port, into its own FNV-1a
+// digest. After a run, digests maps each node ID to its machine's digest.
+type sendDigests struct {
+	alg     sim.Algorithm
+	mu      sync.Mutex
+	digests map[uint64]hash.Hash64
+}
+
+func (a *sendDigests) Name() string { return a.alg.Name() }
+
+func (a *sendDigests) NewMachine(info sim.NodeInfo) sim.Machine {
+	m := &digestMachine{Machine: a.alg.NewMachine(info), id: info.ID, h: fnv.New64a()}
+	a.mu.Lock()
+	a.digests[info.ID] = m.h
+	a.mu.Unlock()
+	return m
+}
+
+type digestMachine struct {
+	sim.Machine
+	id  uint64
+	h   hash.Hash64
+	buf []byte
+}
+
+func (m *digestMachine) Step(round int, recv []any) ([]any, bool) {
+	send, done := m.Machine.Step(round, recv)
+	for port, msg := range send {
+		if msg == nil {
+			continue
+		}
+		b := m.buf[:0]
+		for _, x := range []uint64{uint64(round), m.id, uint64(port)} {
+			b = binary.LittleEndian.AppendUint64(b, x)
+		}
+		switch msg := msg.(type) {
+		case colorMsg:
+			b = binary.LittleEndian.AppendUint64(append(b, 0), uint64(msg.color))
+		case endpointMsg:
+			b = binary.LittleEndian.AppendUint64(append(b, 1), msg.id)
+			b = binary.LittleEndian.AppendUint64(b, uint64(msg.dist))
+		default:
+			panic(fmt.Sprintf("unexpected message %T", msg))
+		}
+		m.h.Write(b)
+		m.buf = b
+	}
+	return send, done
+}
+
+// TestNodeKernelsMatchOracle runs the Linial and two-coloring machines and
+// their pre-shortcut Step bodies (the oracles above) on the same trees and
+// IDs through every backend: sequential, 2 and 4 workers, and 2 and 3
+// shards on both layouts. Outputs, Rounds, TotalRounds, Messages and Steps
+// must be deeply equal, and so must every node's digest of the (round,
+// node, port, message) sequence it sent. Linial runs on Galton-Watson trees
+// with up to 3 and 5 children, ladders, paths and a star with 12 leaves
+// (above the stack scratch); the two-coloring on paths.
+func TestNodeKernelsMatchOracle(t *testing.T) {
+	type tc struct {
+		name      string
+		tr        *graph.Tree
+		alg, want sim.Algorithm
+	}
+	var cases []tc
+	add := func(name string, tr *graph.Tree, err error) {
+		if err != nil {
+			t.Fatalf("build %s: %v", name, err)
+		}
+		delta := max(1, tr.MaxDegree())
+		cases = append(cases, tc{name + "-linial", tr, LinialAlgorithm{Delta: delta}, oracleLinialAlgorithm{Delta: delta}})
+	}
+	for _, c := range []int{3, 5} {
+		for _, seed := range []uint64{1, 2} {
+			tr, err := graph.BuildGaltonWatson(600, c, seed)
+			add(fmt.Sprintf("gw600-c%d-seed%d", c, seed), tr, err)
+		}
+	}
+	for _, seed := range []uint64{3, 4} {
+		tr, err := graph.BuildLadder(600, seed)
+		add(fmt.Sprintf("ladder600-seed%d", seed), tr, err)
+	}
+	star, err := graph.BuildStar(13)
+	add("star13", star, err)
+	for _, n := range []int{1, 2, 3, 64, 2048} {
+		tr, err := graph.BuildPath(n)
+		add(fmt.Sprintf("path%d", n), tr, err)
+		cases = append(cases, tc{fmt.Sprintf("path%d-2color", n), tr, TwoColorPathAlgorithm{}, oracleTwoColorAlgorithm{}})
+	}
+	backends := []struct {
+		name string
+		opts []sim.Option
+	}{
+		{"seq", nil},
+		{"par2", []sim.Option{sim.WithParallelism(2)}},
+		{"par4", []sim.Option{sim.WithParallelism(4)}},
+	}
+	for _, k := range []int{2, 3} {
+		for _, l := range []sim.ShardLayout{sim.LayoutRange, sim.LayoutSubtree} {
+			backends = append(backends, struct {
+				name string
+				opts []sim.Option
+			}{fmt.Sprintf("shard%d-%s", k, l), []sim.Option{sim.WithShards(k), sim.WithShardLayout(l)}})
+		}
+	}
+	run := func(tr *graph.Tree, alg sim.Algorithm, opts []sim.Option) (*sim.Result, map[uint64]uint64) {
+		t.Helper()
+		rec := &sendDigests{alg: alg, digests: make(map[uint64]hash.Hash64)}
+		// The star's schedule (830 rounds) outlasts the default round limit
+		// of a 13-node run.
+		opts = append([]sim.Option{sim.WithIDs(sim.DefaultIDs(tr.N(), 7)), sim.WithMaxRounds(4*tr.N() + 1000)}, opts...)
+		res, err := sim.NewEngine(opts...).Run(tr, rec)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		digests := make(map[uint64]uint64, len(rec.digests))
+		for id, h := range rec.digests {
+			digests[id] = h.Sum64()
+		}
+		return res, digests
+	}
+	for _, c := range cases {
+		for _, b := range backends {
+			got, gotSent := run(c.tr, c.alg, b.opts)
+			want, wantSent := run(c.tr, c.want, b.opts)
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"Outputs", got.Outputs, want.Outputs},
+				{"Rounds", got.Rounds, want.Rounds},
+				{"TotalRounds", got.TotalRounds, want.TotalRounds},
+				{"Messages", got.Messages, want.Messages},
+				{"Steps", got.Steps, want.Steps},
+				{"sent-message digests", gotSent, wantSent},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Errorf("%s on %s: %s differ from the oracle's", c.name, b.name, f.name)
+				}
+			}
+		}
 	}
 }

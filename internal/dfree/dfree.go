@@ -104,11 +104,13 @@ func Radius(n, d int) int {
 	return r
 }
 
-// Solve runs Algorithm 𝒜 on tree t with the given inputs. The parameter d
-// must satisfy 1 <= d < Δ. The computation is performed centrally but uses
-// only radius-limited information per node, mirroring the ball-collection
-// algorithm; every node is charged Rounds = 3⌈log_{d+1} n⌉+3.
-func Solve(t *graph.Tree, inputs []Input, d int) (*Solution, error) {
+// Solve runs Algorithm 𝒜 on tree t with the given inputs, growing its Copy
+// sets on greedy, which a caller solving many trees passes to every call.
+// The parameter d must satisfy 1 <= d < Δ. The computation is performed
+// centrally but uses only radius-limited information per node, mirroring
+// the ball-collection algorithm; every node is charged Rounds =
+// 3⌈log_{d+1} n⌉+3.
+func Solve(t *graph.Tree, inputs []Input, d int, greedy *Greedy) (*Solution, error) {
 	n := t.N()
 	if len(inputs) != n {
 		return nil, fmt.Errorf("dfree: %d inputs for %d nodes", len(inputs), n)
@@ -136,7 +138,6 @@ func Solve(t *graph.Tree, inputs []Input, d int) (*Solution, error) {
 
 	// Step 2: around each remaining A-node, run the greedy 𝒜* on its
 	// radius-(r+1) ball.
-	var greedy Greedy
 	for v := 0; v < n; v++ {
 		if inputs[v] != InputA || sol.Out[v] == OutConnect {
 			continue

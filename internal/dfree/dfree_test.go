@@ -27,7 +27,7 @@ func buildWeightTree(t *testing.T, delta, size int) (*graph.Tree, []Input) {
 
 func TestSolveSingleANode(t *testing.T) {
 	tr, inputs := buildWeightTree(t, 5, 200)
-	sol, err := Solve(tr, inputs, 2)
+	sol, err := Solve(tr, inputs, 2, new(Greedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSolveSingleANode(t *testing.T) {
 func TestSolveRoundsAreLogarithmic(t *testing.T) {
 	for _, n := range []int{10, 100, 10000} {
 		tr, inputs := buildWeightTree(t, 4, n)
-		sol, err := Solve(tr, inputs, 2)
+		sol, err := Solve(tr, inputs, 2, new(Greedy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestLemma40CopySetBound(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tr, inputs := buildWeightTree(t, tc.delta, tc.size)
-		sol, err := Solve(tr, inputs, tc.d)
+		sol, err := Solve(tr, inputs, tc.d, new(Greedy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestCopySetGrowsWithWeight(t *testing.T) {
 	var prev int
 	for _, size := range []int{100, 1000, 10000} {
 		tr, inputs := buildWeightTree(t, 5, size)
-		sol, err := Solve(tr, inputs, 2)
+		sol, err := Solve(tr, inputs, 2, new(Greedy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestTwoCloseANodesConnect(t *testing.T) {
 	inputs := make([]Input, n)
 	inputs[0] = InputA
 	inputs[n-1] = InputA
-	sol, err := Solve(tr, inputs, 2)
+	sol, err := Solve(tr, inputs, 2, new(Greedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestTwoFarANodesDontConnect(t *testing.T) {
 	inputs[0] = InputA
 	inputs[n-1] = InputA
 	d := 2
-	sol, err := Solve(tr, inputs, d)
+	sol, err := Solve(tr, inputs, d, new(Greedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestObservation39OneANodePerCopyComponent(t *testing.T) {
 			inputs[rng.Intn(n)] = InputA
 		}
 		d := 2 + rng.Intn(3)
-		sol, err := Solve(tr, inputs, d)
+		sol, err := Solve(tr, inputs, d, new(Greedy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,8 @@ func TestObservation39OneANodePerCopyComponent(t *testing.T) {
 		for v := range mask {
 			mask[v] = sol.Out[v] == OutCopy
 		}
-		for _, comp := range graph.InducedComponents(tr, mask) {
+		copySets, _ := graph.InducedComponents(tr, mask)
+		for _, comp := range copySets {
 			aCount := 0
 			for _, v := range comp.Nodes {
 				if inputs[v] == InputA {
@@ -237,7 +238,7 @@ func TestObservation39OneANodePerCopyComponent(t *testing.T) {
 
 func TestVerifyRejectsBrokenOutputs(t *testing.T) {
 	tr, inputs := buildWeightTree(t, 5, 50)
-	sol, err := Solve(tr, inputs, 2)
+	sol, err := Solve(tr, inputs, 2, new(Greedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +283,10 @@ func TestSolveRejectsBadArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Solve(tr, []Input{InputA}, 2); err == nil {
+	if _, err := Solve(tr, []Input{InputA}, 2, new(Greedy)); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := Solve(tr, make([]Input, 3), 0); err == nil {
+	if _, err := Solve(tr, make([]Input, 3), 0, new(Greedy)); err == nil {
 		t.Error("d=0 accepted")
 	}
 }

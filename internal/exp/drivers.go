@@ -496,7 +496,7 @@ func copyFractionSpec(delta, d int) (*sweepSpec, error) {
 			}
 			inputs := make([]dfree.Input, w)
 			inputs[0] = dfree.InputA
-			sol, err := dfree.Solve(tr, inputs, d)
+			sol, err := dfree.Solve(tr, inputs, d, new(dfree.Greedy))
 			if err != nil {
 				return sweepPoint{}, err
 			}

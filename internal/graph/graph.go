@@ -25,8 +25,9 @@
 //   - ComputeLevels (levels.go) — the peeling level computation of
 //     Definition 8, which solvers and verifiers use instead of the
 //     construction levels;
-//   - InducedComponents (subgraph.go) — connected components of an induced
-//     subgraph, re-indexed as standalone Trees;
+//   - InducedComponents (subgraph.go) — connected components of the
+//     subgraph a mask induces and of the one its complement induces,
+//     re-indexed as standalone Trees;
 //   - InducedPaths (subgraph.go) — the components of an induced subgraph
 //     whose components are paths, each listed along its path (compress
 //     runs and phase segments).

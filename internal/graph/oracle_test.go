@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -183,13 +185,35 @@ func sameCSR(got, want *Tree) error {
 	return nil
 }
 
-// checkComponentsAgainstOracle compares InducedComponents with the oracle
-// on one (tree, mask) input: component order, Nodes, both CSR arrays, and
-// IndexOf on every v in [-1, n].
+// checkComponentsAgainstOracle compares both sides of InducedComponents
+// with the oracle on one (tree, mask) input, the out side with the oracle on
+// the complement mask: component order, Nodes, both CSR arrays, and IndexOf
+// on every v in [-1, n]. Every component's IndexOf must be -1 on every node
+// of the other side.
 func checkComponentsAgainstOracle(t *testing.T, name string, tr *Tree, mask []bool) {
 	t.Helper()
-	got := InducedComponents(tr, mask)
-	want := oracleInducedComponents(tr, mask)
+	in, out := InducedComponents(tr, mask)
+	complement := Mask(tr, func(v int) bool { return !mask[v] })
+	sameComponentsAsOracle(t, name+" in", tr.N(), in, oracleInducedComponents(tr, mask))
+	sameComponentsAsOracle(t, name+" out", tr.N(), out, oracleInducedComponents(tr, complement))
+	for _, side := range []struct {
+		comps []*Component
+		other []bool
+	}{{in, complement}, {out, mask}} {
+		for c, comp := range side.comps {
+			for v, other := range side.other {
+				if other && comp.IndexOf(v) != -1 {
+					t.Fatalf("%s: component %d IndexOf(%d) = %d across sides", name, c, v, comp.IndexOf(v))
+				}
+			}
+		}
+	}
+}
+
+// sameComponentsAsOracle compares one side of InducedComponents on an
+// n-node tree with the oracle's components.
+func sameComponentsAsOracle(t *testing.T, name string, n int, got []*Component, want []oracleComponent) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d components, oracle %d", name, len(got), len(want))
 	}
@@ -201,7 +225,7 @@ func checkComponentsAgainstOracle(t *testing.T, name string, tr *Tree, mask []bo
 		if err := sameCSR(g.Tree, w.tree); err != nil {
 			t.Fatalf("%s: component %d: %v", name, c, err)
 		}
-		for v := -1; v <= tr.N(); v++ {
+		for v := -1; v <= n; v++ {
 			if gi, wi := g.IndexOf(v), w.indexOf(v); gi != wi {
 				t.Fatalf("%s: component %d IndexOf(%d) = %d, oracle %d", name, c, v, gi, wi)
 			}
@@ -559,7 +583,7 @@ func checkPathsAgainstOracle(t *testing.T, name string, tr *Tree, mask []bool) {
 			return
 		}
 	}
-	if comps := InducedComponents(tr, mask); len(got) != len(comps) {
+	if comps, _ := InducedComponents(tr, mask); len(got) != len(comps) {
 		t.Fatalf("%s: %d paths for %d components", name, len(got), len(comps))
 	}
 	seen := make([]bool, tr.N())
@@ -702,6 +726,77 @@ func TestComputeLevelsMatchesOracle(t *testing.T) {
 			got, want := ComputeLevels(tc.tree, k), oracleComputeLevels(tc.tree, k)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s (n=%d) k=%d: levels %v, oracle %v", tc.name, tc.tree.N(), k, got, want)
+			}
+		}
+	}
+}
+
+// oraclePreorderPerm is preorderPerm as it sorted each node's children
+// before slices.SortStableFunc: sort.SliceStable with a closure per node.
+func oraclePreorderPerm(t *Tree, parent, size []int32, heavyFirst bool) []int32 {
+	n := t.N()
+	perm := make([]int32, n)
+	kids := make([]int32, 0, t.MaxDegree())
+	stack := make([]int32, 0, 64)
+	stack = append(stack, 0)
+	next := int32(0)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		perm[v] = next
+		next++
+		kids = kids[:0]
+		for _, w := range t.NeighborsRaw(int(v)) {
+			if w != parent[v] {
+				kids = append(kids, w)
+			}
+		}
+		sort.SliceStable(kids, func(i, j int) bool {
+			if heavyFirst {
+				return size[kids[i]] > size[kids[j]]
+			}
+			return size[kids[i]] < size[kids[j]]
+		})
+		for i := len(kids) - 1; i >= 0; i-- {
+			stack = append(stack, kids[i])
+		}
+	}
+	return perm
+}
+
+// oraclePartition is Partition over oraclePreorderPerm.
+func oraclePartition(t *Tree, k int) *Layout {
+	n := t.N()
+	k = max(1, min(k, n))
+	parent, order := t.RootAt(0)
+	size := subtreeSizes(t, parent, order)
+	best := &Layout{Cuts: RangeCuts(n, k)}
+	best.BoundaryEdges = countBoundary(t, nil, best.Cuts)
+	for _, heavyFirst := range []bool{false, true} {
+		consider(t, best, oraclePreorderPerm(t, parent, size, heavyFirst), k)
+	}
+	consider(t, best, nil, k)
+	return best
+}
+
+// TestPartitionMatchesOracle requires preorderPerm to equal the
+// sort.SliceStable preorder under both child orders, and Partition the
+// oracle's layout at every k of TestPartitionProperties, on every partition
+// shape. The star, the balanced tree, the caterpillar and the spider give
+// nodes many equal-size children, whose order only a stable sort keeps.
+func TestPartitionMatchesOracle(t *testing.T) {
+	for name, tr := range partitionShapes(t) {
+		parent, order := tr.RootAt(0)
+		size := subtreeSizes(tr, parent, order)
+		for _, heavyFirst := range []bool{false, true} {
+			got := preorderPerm(tr, parent, size, heavyFirst)
+			if want := oraclePreorderPerm(tr, parent, size, heavyFirst); !slices.Equal(got, want) {
+				t.Fatalf("%s heavyFirst=%v: preorder differs from the stable-sort oracle", name, heavyFirst)
+			}
+		}
+		for _, k := range []int{1, 2, 3, 4, 7, 16, tr.N(), tr.N() + 5} {
+			if got, want := Partition(tr, k), oraclePartition(tr, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s k=%d: layout %+v, oracle %+v", name, k, got, want)
 			}
 		}
 	}

@@ -25,7 +25,10 @@ package graph
 // breaks (smallest cut, candidate-list order), so a layout is reproducible
 // from the instance alone — the same discipline as the seeded generators.
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Layout is a shard partition of a tree expressed as a node relabeling plus
 // cut points over the relabeled index space.
@@ -168,6 +171,10 @@ func preorderPerm(t *Tree, parent, size []int32, heavyFirst bool) []int32 {
 	stack := make([]int32, 0, 64)
 	stack = append(stack, 0)
 	next := int32(0)
+	order := func(a, b int32) int { return cmp.Compare(size[a], size[b]) }
+	if heavyFirst {
+		order = func(a, b int32) int { return cmp.Compare(size[b], size[a]) }
+	}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -179,12 +186,7 @@ func preorderPerm(t *Tree, parent, size []int32, heavyFirst bool) []int32 {
 				kids = append(kids, w)
 			}
 		}
-		sort.SliceStable(kids, func(i, j int) bool {
-			if heavyFirst {
-				return size[kids[i]] > size[kids[j]]
-			}
-			return size[kids[i]] < size[kids[j]]
-		})
+		slices.SortStableFunc(kids, order)
 		// Push in reverse so the first child in the chosen order pops first.
 		for i := len(kids) - 1; i >= 0; i-- {
 			stack = append(stack, kids[i])

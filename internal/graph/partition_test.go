@@ -33,6 +33,18 @@ func partitionShapes(t *testing.T) map[string]*Tree {
 	shapes["hierarchical5x11"] = hier.Tree
 	bal, err := BuildBalanced(4, 200)
 	add("balanced4x200", bal, err)
+	// A spider: 30 legs of 1, 2, 3, 1, 2, 3, ... nodes on node 0, so its
+	// children come in three equal-size classes, interleaved in port order,
+	// and are more than a sort handles by insertion alone.
+	b := NewBuilder(61)
+	b.AddNode()
+	for leg := range 30 {
+		if _, err := b.AttachPath(0, 1+leg%3); err != nil {
+			t.Fatalf("build spider: %v", err)
+		}
+	}
+	spider, err := b.Build()
+	add("spider30", spider, err)
 	for _, seed := range []uint64{1, 42} {
 		gw, err := BuildGaltonWatson(163, 4, seed)
 		add(fmt.Sprintf("gw163-seed%d", seed), gw, err)
@@ -134,6 +146,18 @@ func TestPartitionProperties(t *testing.T) {
 				checkLayout(t, tr, k, l)
 			})
 		}
+	}
+}
+
+// TestPartitionAllocs bounds what Partition allocates on a 4096-node path:
+// a fixed set of arrays per candidate layout, nothing per node.
+func TestPartitionAllocs(t *testing.T) {
+	tr, err := BuildPath(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { Partition(tr, 2) }); allocs > 32 {
+		t.Fatalf("Partition(path4096, 2): %v allocations, want at most 32", allocs)
 	}
 }
 

@@ -6,10 +6,11 @@ type Component struct {
 	Tree *Tree
 	// Nodes maps component indices back to indices of the parent graph.
 	Nodes []int
-	// id is this component's position in its InducedComponents call;
-	// owner[v] == id marks the parent-graph nodes in this component and
-	// local[v] is then v's component index. Every Component of one call
-	// shares the same owner and local arrays (sized to the parent graph).
+	// id is this component's position in its InducedComponents call, the
+	// in side's components first; owner[v] == id marks the parent-graph
+	// nodes in this component and local[v] is then v's component index.
+	// Every Component of one call, on either side, shares the same owner
+	// and local arrays (sized to the parent graph).
 	id    int32
 	owner []int32
 	local []int32
@@ -86,56 +87,61 @@ func InducedPaths(t *Tree, keep func(v int) bool) [][]int {
 }
 
 // InducedComponents returns the connected components of the subgraph of t
-// induced by the nodes with mask[v] == true, in order of their
-// lowest-indexed node. Each component's nodes are indexed in BFS order from
-// that node, and its port order is fixed: a node's BFS parent is port 0
-// (the root has none), followed by its other in-mask neighbors in the
+// induced by the nodes with mask[v] == true (in) and those of the subgraph
+// induced by the other nodes (out), each side in order of its components'
+// lowest-indexed nodes. Each component's nodes are indexed in BFS order
+// from that node, and its port order is fixed: a node's BFS parent is port
+// 0 (the root has none), followed by its other same-side neighbors in the
 // parent graph's port order. Solvers that run on a component see this
-// order, so it is part of the contract.
-func InducedComponents(t *Tree, mask []bool) []*Component {
+// order, so it is part of the contract. Both sides are labeled on one
+// parent-sized owner/local pair, so a component's IndexOf is -1 on every
+// node of the other side.
+func InducedComponents(t *Tree, mask []bool) (in, out []*Component) {
 	n := t.N()
 	owner := make([]int32, n)
 	local := make([]int32, n)
-	masked := 0
 	for v := range owner {
 		owner[v] = -1
-		if mask[v] {
-			masked++
-		}
 	}
-	// Label the components: order holds every component's nodes in BFS
-	// order, back to back, and starts[c] is where component c begins.
-	order := make([]int, 0, masked)
+	// Label the components, the in side's first: order holds every
+	// component's nodes in BFS order, back to back, and starts[c] is where
+	// component c begins.
+	order := make([]int, 0, n)
 	var starts []int
-	for s := 0; s < n; s++ {
-		if !mask[s] || owner[s] >= 0 {
-			continue
-		}
-		id := int32(len(starts))
-		starts = append(starts, len(order))
-		owner[s], local[s] = id, 0
-		order = append(order, s)
-		for head := len(order) - 1; head < len(order); head++ {
-			for _, w := range t.NeighborsRaw(order[head]) {
-				if mask[w] && owner[w] < 0 {
-					owner[w], local[w] = id, int32(len(order)-starts[id])
-					order = append(order, int(w))
+	label := func(side bool) {
+		for s := 0; s < n; s++ {
+			if mask[s] != side || owner[s] >= 0 {
+				continue
+			}
+			id := int32(len(starts))
+			starts = append(starts, len(order))
+			owner[s], local[s] = id, 0
+			order = append(order, s)
+			for head := len(order) - 1; head < len(order); head++ {
+				for _, w := range t.NeighborsRaw(order[head]) {
+					if mask[w] == side && owner[w] < 0 {
+						owner[w], local[w] = id, int32(len(order)-starts[id])
+						order = append(order, int(w))
+					}
 				}
 			}
 		}
 	}
+	label(true)
+	kIn := len(starts)
+	label(false)
 	// Write each component's CSR into slices of two shared arrays: component
 	// c with nodes order[a:b] owns offsets offAll[a+c : b+c+1] and, having
 	// b-a-1 edges, neighbors nbrAll[2(a-c) : 2(b-c-1)].
 	k := len(starts)
-	offAll := make([]int32, masked+k)
-	nbrAll := make([]int32, 2*(masked-k))
+	offAll := make([]int32, n+k)
+	nbrAll := make([]int32, 2*(n-k))
 	comps := make([]*Component, k)
 	end := func(c int) int {
 		if c+1 < k {
 			return starts[c+1]
 		}
-		return masked
+		return n
 	}
 	// Every component is validated on one mark/queue pair sized to the
 	// largest component.
@@ -151,13 +157,13 @@ func InducedComponents(t *Tree, mask []bool) []*Component {
 		maxDeg := 0
 		for i, v := range order[a:b] {
 			// Slot off[i] is the BFS parent's: the parent is the only
-			// in-mask neighbor with a smaller component index.
+			// neighbor in the component with a smaller component index.
 			next := off[i]
 			if i > 0 {
 				next++
 			}
 			for _, w := range t.NeighborsRaw(v) {
-				if !mask[w] {
+				if owner[w] != int32(c) {
 					continue
 				}
 				if j := local[w]; j < int32(i) {
@@ -177,5 +183,5 @@ func InducedComponents(t *Tree, mask []bool) []*Component {
 		}
 		comps[c] = &Component{Tree: tree, Nodes: order[a:b:b], id: int32(c), owner: owner, local: local}
 	}
-	return comps
+	return comps[:kIn:kIn], comps[kIn:]
 }

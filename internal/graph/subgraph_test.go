@@ -8,7 +8,7 @@ import (
 
 func TestInducedComponentsSplitsCaterpillar(t *testing.T) {
 	// Mask out the spine of a caterpillar: each leg becomes its own
-	// component.
+	// component, and the spine is the one component of the other side.
 	c, err := BuildCaterpillar(5, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -17,9 +17,12 @@ func TestInducedComponentsSplitsCaterpillar(t *testing.T) {
 	for v := 5; v < c.N(); v++ { // spine nodes are 0..4
 		mask[v] = true
 	}
-	comps := InducedComponents(c, mask)
+	comps, spine := InducedComponents(c, mask)
 	if len(comps) != 5 {
 		t.Fatalf("got %d components, want 5", len(comps))
+	}
+	if len(spine) != 1 || spine[0].Tree.N() != 5 {
+		t.Fatalf("got %d components off the mask, want the 5-node spine", len(spine))
 	}
 	for _, comp := range comps {
 		if comp.Tree.N() != 3 {
@@ -40,20 +43,20 @@ func TestInducedComponentsIndexRoundTrip(t *testing.T) {
 	for _, v := range []int{2, 3, 4, 7, 8} {
 		mask[v] = true
 	}
-	comps := InducedComponents(p, mask)
-	if len(comps) != 2 {
-		t.Fatalf("got %d components, want 2", len(comps))
+	comps, rest := InducedComponents(p, mask)
+	if len(comps) != 2 || len(rest) != 3 {
+		t.Fatalf("got %d and %d components, want 2 and 3", len(comps), len(rest))
 	}
-	for _, comp := range comps {
+	for _, comp := range append(comps, rest...) {
 		for i, v := range comp.Nodes {
 			if comp.IndexOf(v) != i {
 				t.Fatalf("IndexOf(%d) = %d, want %d", v, comp.IndexOf(v), i)
 			}
 		}
 	}
-	// Nodes outside the mask map to -1.
-	if comps[0].IndexOf(0) != -1 {
-		t.Fatal("IndexOf of unmasked node should be -1")
+	// Nodes outside the mask map to -1, and masked nodes outside it.
+	if comps[0].IndexOf(0) != -1 || rest[0].IndexOf(2) != -1 {
+		t.Fatal("IndexOf of a node of the other side should be -1")
 	}
 }
 
@@ -62,8 +65,12 @@ func TestInducedComponentsEmptyMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comps := InducedComponents(p, make([]bool, 5)); len(comps) != 0 {
-		t.Fatalf("got %d components for empty mask", len(comps))
+	in, out := InducedComponents(p, make([]bool, 5))
+	if len(in) != 0 {
+		t.Fatalf("got %d components for empty mask", len(in))
+	}
+	if len(out) != 1 || len(out[0].Nodes) != 5 {
+		t.Fatalf("got %d components for the complement of an empty mask, want the whole path", len(out))
 	}
 }
 
@@ -82,7 +89,7 @@ func TestQuickInducedComponentsPartition(t *testing.T) {
 				covered++
 			}
 		}
-		comps := InducedComponents(tr, mask)
+		comps, _ := InducedComponents(tr, mask)
 		seen := make(map[int]bool)
 		total := 0
 		for _, comp := range comps {

@@ -24,7 +24,7 @@ type Split struct {
 	// Active[c] at depth K.
 	Active []*graph.Component
 	Levels [][]int
-	// Weight holds the components of the unmasked nodes.
+	// Weight holds the components of the unmasked nodes, ordered like Active.
 	Weight []*graph.Component
 }
 
@@ -35,13 +35,8 @@ func NewSplit(t *graph.Tree, mask []bool, k int) (*Split, error) {
 	if len(mask) != t.N() {
 		return nil, fmt.Errorf("hierarchy: mask of length %d for n=%d", len(mask), t.N())
 	}
-	s := &Split{
-		Tree:   t,
-		Mask:   mask,
-		K:      k,
-		Active: graph.InducedComponents(t, mask),
-		Weight: graph.InducedComponents(t, graph.Mask(t, func(v int) bool { return !mask[v] })),
-	}
+	s := &Split{Tree: t, Mask: mask, K: k}
+	s.Active, s.Weight = graph.InducedComponents(t, mask)
 	s.Levels = make([][]int, len(s.Active))
 	for c, comp := range s.Active {
 		s.Levels[c] = graph.ComputeLevels(comp.Tree, k)

@@ -17,17 +17,19 @@ import (
 )
 
 // checkSplit requires the parts of s, the Split of tr by mask at depth k,
-// to equal a fresh derivation: graph.InducedComponents(tr, mask) with
-// graph.ComputeLevels of each component at depth k, and
-// graph.InducedComponents(tr, ¬mask). Every component must pass Validate.
+// to equal a fresh derivation: the in side of graph.InducedComponents(tr,
+// mask) with graph.ComputeLevels of each component at depth k, and the in
+// side of graph.InducedComponents(tr, ¬mask). Every component must pass
+// Validate.
 func checkSplit(t *testing.T, name string, s *hierarchy.Split, tr *graph.Tree, mask []bool, k int) {
 	t.Helper()
 	if s.Tree != tr || s.K != k || !slices.Equal(s.Mask, mask) {
 		t.Fatalf("%s: split of another tree, depth %d or mask", name, s.K)
 	}
-	active := graph.InducedComponents(tr, mask)
+	active, _ := graph.InducedComponents(tr, mask)
+	weight, _ := graph.InducedComponents(tr, graph.Mask(tr, func(v int) bool { return !mask[v] }))
 	sameComponents(t, name+" active", s.Active, active)
-	sameComponents(t, name+" weight", s.Weight, graph.InducedComponents(tr, graph.Mask(tr, func(v int) bool { return !mask[v] })))
+	sameComponents(t, name+" weight", s.Weight, weight)
 	if len(s.Levels) != len(active) {
 		t.Fatalf("%s: %d level vectors for %d active components", name, len(s.Levels), len(active))
 	}

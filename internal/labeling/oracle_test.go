@@ -304,7 +304,8 @@ func TestSolveMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, comp := range graph.InducedComponents(in.Tree, in.Weight) {
+		weight, _ := graph.InducedComponents(in.Tree, in.Weight)
+		for _, comp := range weight {
 			pinned := make([]bool, comp.Tree.N())
 			for i, v := range comp.Nodes {
 				for _, w := range in.Tree.NeighborsRaw(v) {

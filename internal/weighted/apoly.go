@@ -53,7 +53,9 @@ func SolvePoly(s *hierarchy.Split, p Problem, ids []uint64) (*Result, error) {
 		return nil, err
 	}
 
-	// Weight components: d-free weight problem via Algorithm 𝒜.
+	// Weight components: d-free weight problem via Algorithm 𝒜, on one
+	// Greedy for all of them.
+	var greedy dfree.Greedy
 	for _, comp := range s.Weight {
 		dfInputs := make([]dfree.Input, len(comp.Nodes))
 		for i, v := range comp.Nodes {
@@ -64,7 +66,7 @@ func SolvePoly(s *hierarchy.Split, p Problem, ids []uint64) (*Result, error) {
 				}
 			}
 		}
-		sol, err := dfree.Solve(comp.Tree, dfInputs, p.D)
+		sol, err := dfree.Solve(comp.Tree, dfInputs, p.D, &greedy)
 		if err != nil {
 			return nil, err
 		}

@@ -42,7 +42,8 @@ func oracleSolveLogStar(t *graph.Tree, inputs []NodeInput, p Problem, ids []uint
 	if err := oracleRunActiveComponents(t, active, p, ids, hierarchy.Gammas(scale, alphas), res); err != nil {
 		return nil, err
 	}
-	for _, comp := range graph.InducedComponents(t, graph.Mask(t, func(v int) bool { return inputs[v] == InputWeight })) {
+	weight, _ := graph.InducedComponents(t, graph.Mask(t, func(v int) bool { return inputs[v] == InputWeight }))
+	for _, comp := range weight {
 		if err := oracleSolveWeightComponent35(t, active, p, comp, res); err != nil {
 			return nil, err
 		}
@@ -64,7 +65,8 @@ func oracleRunActiveComponents(t *graph.Tree, active []bool, p Problem, ids []ui
 	if err != nil {
 		return err
 	}
-	for _, comp := range graph.InducedComponents(t, active) {
+	comps, _ := graph.InducedComponents(t, active)
+	for _, comp := range comps {
 		compIDs := make([]uint64, len(comp.Nodes))
 		for i, v := range comp.Nodes {
 			compIDs[i] = ids[v]
