@@ -6,7 +6,7 @@
 //
 //	GET  /v1/experiments                 machine-readable catalog (same JSON as `experiments -list -json`)
 //	GET  /v1/experiments/{name}          canonical Result, memoized in the result store
-//	     ?preset=&seed=&parallel=&shards=&shard-layout=&timeout=
+//	     ?preset=&seed=&parallel=&shards=&timeout=
 //	POST /v1/batch                       NDJSON stream of results as experiments finish
 //	GET  /healthz                        liveness
 //	GET  /statsz                         service telemetry (stores, caches, admission)

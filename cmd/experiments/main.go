@@ -34,7 +34,6 @@
 //	experiments -list -json
 //	experiments -run twocoloring-gap -preset quick -json
 //	experiments -run twocoloring-gap -shards 4
-//	experiments -run twocoloring-gap -shards 4 -shard-layout subtree
 //	experiments -run all -preset quick -jobs 4 -out results/
 //	experiments -run all -preset quick -workers 4 -cache-stats
 //	experiments -run all -preset quick -remote host1:9700,host2:9700 -worker-retry
@@ -90,17 +89,12 @@ func main() {
 		remoteRead = flag.Duration("remote-read-timeout", 0, "max silence on a remote worker connection before its slot fails labeled (0 = unbounded; see docs/DISTRIBUTED.md)")
 		parallel   = flag.Int("parallel", 1, "simulator worker count (-1 = GOMAXPROCS)")
 		shards     = flag.Int("shards", 0, "simulator shard count: partition each simulated tree into contiguous node-range shards (0/1 = unsharded, -1 = GOMAXPROCS); results are identical at every count")
-		layout     = flag.String("shard-layout", "", `shard partitioning layout: "range" (contiguous node-ID ranges, the default) or "subtree" (fat-preorder relabeling that minimizes boundary edges); results are identical under both`)
 		seed       = flag.Uint64("seed", 0, "override the experiments' default ID seeds (0 = defaults)")
 		timeout    = flag.Duration("timeout", 0, "overall batch deadline (e.g. 90s, 10m); a run exceeding it fails labeled instead of hanging (0 = none)")
 		out        = flag.String("out", "", "persist canonical results: a directory (one file per run) or a .json path (single array)")
 		cacheStats = flag.Bool("cache-stats", false, "print instance-cache counters to stderr after the run")
-		quick      = flag.Bool("quick", false, "legacy alias for -preset quick")
 	)
 	flag.Parse()
-	if *quick {
-		*preset = "quick"
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	err := mainE(ctx, options{
@@ -108,7 +102,7 @@ func main() {
 		jsonOut: *jsonOut, ndjson: *ndjson, markdown: *markdown,
 		jobs: *jobs, workers: *workers, workerRetry: *retry,
 		remote: *remote, remoteCA: *remoteCA, remoteRead: *remoteRead,
-		parallel: *parallel, shards: *shards, shardLayout: *layout, seed: *seed,
+		parallel: *parallel, shards: *shards, seed: *seed,
 		timeout: *timeout, out: *out, cacheStats: *cacheStats,
 	})
 	if err != nil {
@@ -121,7 +115,7 @@ type options struct {
 	list, jsonOut, ndjson, markdown, cacheStats bool
 	workerRetry                                 bool
 	run, preset, out                            string
-	remote, remoteCA, shardLayout               string
+	remote, remoteCA                            string
 	jobs, workers, parallel, shards             int
 	seed                                        uint64
 	timeout, remoteRead                         time.Duration
@@ -136,11 +130,6 @@ func mainE(ctx context.Context, opts options) error {
 	}
 	if opts.jobs > 1 && opts.workers > 0 {
 		return fmt.Errorf("-jobs and -workers select different backends (in-process pool vs worker subprocesses); pick one")
-	}
-	switch opts.shardLayout {
-	case "", "range", "subtree":
-	default:
-		return fmt.Errorf("-shard-layout must be \"range\" or \"subtree\", got %q", opts.shardLayout)
 	}
 	var remotes []string
 	if opts.remote != "" {
@@ -181,7 +170,7 @@ func mainE(ctx context.Context, opts options) error {
 		Remote:            remotes,
 		RemoteReadTimeout: opts.remoteRead,
 		Config: repro.RunConfig{Preset: opts.preset, Seed: opts.seed,
-			Parallelism: opts.parallel, Shards: opts.shards, ShardLayout: opts.shardLayout},
+			Parallelism: opts.parallel, Shards: opts.shards},
 	}
 	if opts.remoteCA != "" {
 		tlsCfg, err := repro.RemoteTLSConfig(opts.remoteCA)

@@ -138,10 +138,10 @@ func run(alg string, n, k, delta, d, scale int, seed uint64, parallel, shards in
 		prod := 1
 		base := float64(n) / float64(k)
 		for i := 0; i < k-1; i++ {
-			lengths[i] = maxi(2, int(math.Pow(base, alphas[i])))
+			lengths[i] = max(2, int(math.Pow(base, alphas[i])))
 			prod *= lengths[i]
 		}
-		lengths[k-1] = maxi(2, int(base)/prod)
+		lengths[k-1] = max(2, int(base)/prod)
 		inst, err := weighted.BuildInstance(p, lengths, n/k)
 		if err != nil {
 			return err
@@ -201,11 +201,4 @@ func ipow(b, e int) int {
 		out *= b
 	}
 	return out
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -40,25 +40,25 @@ var instances = inst.New(0)
 // and for explicit Reset in memory-sensitive callers.
 func InstanceCache() *inst.Cache { return instances }
 
-// engineConfig carries the simulator execution knobs — worker count, shard
-// count, and shard layout — from RunConfig into the simulator-backed point
-// functions. No knob affects results: canonical outputs are byte-identical
-// at every setting (asserted catalog-wide in shard_equiv_test.go).
+// engineConfig carries the simulator execution knobs — worker count and
+// shard count — from RunConfig into the simulator-backed point functions.
+// Sharded runs use the engine's default layout. No knob affects results:
+// canonical outputs are byte-identical at every setting (asserted
+// catalog-wide in shard_equiv_test.go).
 type engineConfig struct {
 	parallelism int
 	shards      int
-	layout      string
 }
 
 // engCfg extracts the engine knobs of a run configuration.
 func engCfg(cfg RunConfig) engineConfig {
-	return engineConfig{parallelism: cfg.Parallelism, shards: cfg.Shards, layout: cfg.ShardLayout}
+	return engineConfig{parallelism: cfg.Parallelism, shards: cfg.Shards}
 }
 
 // shardTraffic folds a simulated point's per-shard statistics into the
-// layout-objective counters: boundary edges (halved — each edge appears in
-// both incident shards' statistics) and real messages crossed (counted once,
-// on the sending side). Zero for unsharded runs, whose Shards is nil.
+// traffic counters: boundary edges (halved — each edge appears in both
+// incident shards' statistics) and real messages crossed (counted once, on
+// the sending side). Zero for unsharded runs, whose Shards is nil.
 func shardTraffic(r *sim.Result) (boundary, crossed int64) {
 	for _, s := range r.Shards {
 		boundary += int64(s.BoundaryEdges)
@@ -293,18 +293,10 @@ func polyLengths(target, k int, alphas []float64) []int {
 	lengths := make([]int, k)
 	prod := 1
 	for i := 0; i < k-1; i++ {
-		l := int(math.Pow(nPrime, alphas[i]))
-		if l < 2 {
-			l = 2
-		}
-		lengths[i] = l
-		prod *= l
+		lengths[i] = max(2, int(math.Pow(nPrime, alphas[i])))
+		prod *= lengths[i]
 	}
-	last := int(nPrime) / prod
-	if last < 2 {
-		last = 2
-	}
-	lengths[k-1] = last
+	lengths[k-1] = max(2, int(nPrime)/prod)
 	return lengths
 }
 
@@ -340,12 +332,12 @@ func weighted35Spec(delta, d, k, weightFactor int) (*sweepSpec, error) {
 	lengthsOf := func(T int) []int {
 		lengths := make([]int, k)
 		for i := 0; i < k-1; i++ {
-			lengths[i] = maxi(2, int(math.Pow(float64(T), alphas[i])))
+			lengths[i] = max(2, int(math.Pow(float64(T), alphas[i])))
 		}
 		// ℓ_k on the recurrence scale (the paper ties ℓ_k to n and log* n,
 		// which the sweep replaces by T; the level-k contribution is
 		// dominated).
-		lengths[k-1] = maxi(4, int(math.Pow(float64(T), alphas[k-2]*(2-xPrime))))
+		lengths[k-1] = max(4, int(math.Pow(float64(T), alphas[k-2]*(2-xPrime))))
 		return lengths
 	}
 	return &sweepSpec{
@@ -390,7 +382,7 @@ func weighted35Spec(delta, d, k, weightFactor int) (*sweepSpec, error) {
 // weight-augmented 2½-coloring with node-averaged complexity Θ(n^{1/k}).
 func weightAugmentedSpec(k, delta int) *sweepSpec {
 	lengthsOf := func(target int) []int {
-		side := maxi(2, int(math.Pow(float64(target)/float64(k), 1/float64(k))))
+		side := max(2, int(math.Pow(float64(target)/float64(k), 1/float64(k))))
 		lengths := make([]int, k)
 		for i := range lengths {
 			lengths[i] = side
@@ -454,7 +446,6 @@ func twoColoringGapSpec() *sweepSpec {
 				sim.WithContext(ctx),
 				sim.WithParallelism(eng.parallelism),
 				sim.WithShards(eng.shards),
-				sim.WithShardLayout(sim.ShardLayout(eng.layout)),
 			).Run(tr, coloring.TwoColorPathAlgorithm{})
 			if err != nil {
 				return sweepPoint{}, err
@@ -676,11 +667,4 @@ func ipow(base, exp int) int {
 		out *= base
 	}
 	return out
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

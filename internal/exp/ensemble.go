@@ -127,7 +127,6 @@ func runLinialSample(ctx context.Context, idx int, seed uint64, eng engineConfig
 		sim.WithContext(ctx),
 		sim.WithParallelism(eng.parallelism),
 		sim.WithShards(eng.shards),
-		sim.WithShardLayout(sim.ShardLayout(eng.layout)),
 	).Run(tr, coloring.LinialAlgorithm{Delta: delta})
 	if err != nil {
 		return sweepPoint{}, err

@@ -64,13 +64,6 @@ type RunConfig struct {
 	// sim.WithShards). Analytic experiments ignore it; canonical results are
 	// byte-identical at every shard count.
 	Shards int
-	// ShardLayout selects the sharded backend's partitioning layout:
-	// "range" (or empty) for the balanced contiguous split of the
-	// construction numbering, "subtree" for the fat-preorder relabeling that
-	// minimizes boundary edges (sim.WithShardLayout). Like Shards it is
-	// execution mechanics: canonical results are byte-identical across
-	// layouts, only the shard-traffic telemetry changes.
-	ShardLayout string
 }
 
 // Experiment is one registered, runnable scenario.
@@ -120,10 +113,6 @@ type Result struct {
 	Seed        uint64 `json:"seed,omitempty"`
 	Parallelism int    `json:"parallelism,omitempty"`
 	Shards      int    `json:"shards,omitempty"`
-	// ShardLayout echoes RunConfig.ShardLayout: the partitioning layout the
-	// sharded simulator ran under ("" = range). Execution mechanics like
-	// Shards; the canonical form strips it.
-	ShardLayout string `json:"shard_layout,omitempty"`
 	// Steps is the total simulator machine-step work (sim.Result.Steps summed
 	// over the run's simulated points); 0 for purely analytic experiments.
 	// Like elapsed_ms it describes execution work, not computed results, and
@@ -134,9 +123,9 @@ type Result struct {
 	Fit       *Fit            `json:"fit,omitempty"`
 	// ShardTraffic summarizes what the sharded simulator's partition cost
 	// across the run's simulated points; nil for analytic or unsharded runs.
-	// It is the layout objective made visible — the number cmd/experiments
-	// -json and expd /statsz report so layout improvements are observable —
-	// and, being execution mechanics, the canonical form strips it.
+	// It is live-only telemetry, reported by cmd/experiments -json and
+	// summed into expd /statsz, and, being execution mechanics, the
+	// canonical form strips it.
 	ShardTraffic *ShardTraffic `json:"shard_traffic,omitempty"`
 }
 
@@ -200,7 +189,6 @@ func (e *Experiment) newResult(cfg RunConfig, preset string, sizes []int, starte
 		Seed:        e.seedFor(cfg),
 		Parallelism: cfg.Parallelism,
 		Shards:      cfg.Shards,
-		ShardLayout: cfg.ShardLayout,
 		ElapsedMS:   float64(time.Since(started).Microseconds()) / 1000,
 	}
 }

@@ -3,11 +3,15 @@ package exp
 import (
 	"context"
 	"encoding/json"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 )
 
 // TestResultJSONSchema pins the documented JSON field names of the result
-// schema (README "JSON output schema").
+// schema (README "JSON output schema"): a sharded simulator-backed run
+// carries exactly these keys, its shard traffic among them.
 func TestResultJSONSchema(t *testing.T) {
 	e, ok := Lookup("twocoloring-gap")
 	if !ok {
@@ -28,11 +32,12 @@ func TestResultJSONSchema(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"schema", "name", "theory", "preset", "sizes", "seed",
-		"parallelism", "shards", "elapsed_ms", "tables", "fit"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("result JSON missing key %q", key)
-		}
+	want := "elapsed_ms fit name parallelism preset schema seed shard_traffic shards sizes steps tables theory"
+	if got := strings.Join(slices.Sorted(maps.Keys(m)), " "); got != want {
+		t.Errorf("result JSON keys = %s, want %s", got, want)
+	}
+	if res.ShardTraffic == nil || res.ShardTraffic.BoundaryEdges <= 0 {
+		t.Errorf("sharded run reported shard traffic %+v, want boundary edges > 0", res.ShardTraffic)
 	}
 	tables, ok := m["tables"].([]any)
 	if !ok || len(tables) == 0 {

@@ -19,19 +19,18 @@ import (
 
 // Canonical returns a copy of res with the volatile and execution-mechanics
 // fields zeroed: ElapsedMS is wall-clock and differs run to run, and
-// Parallelism, Shards, Steps, ShardLayout, and ShardTraffic describe how
-// the run was scheduled and how much simulator work and cross-shard traffic
-// it performed, not what it computed (results are identical at every
+// Parallelism, Shards, Steps, and ShardTraffic describe how the run was
+// scheduled and how much simulator work and cross-shard traffic it
+// performed, not what it computed (results are identical at every
 // setting). Two runs of the same experiment at the same preset and seed
-// therefore marshal to identical bytes regardless of -jobs, -parallel,
-// -shards, or -shard-layout.
+// therefore marshal to identical bytes regardless of -jobs, -parallel, or
+// -shards.
 func Canonical(res *Result) *Result {
 	c := *res
 	c.ElapsedMS = 0
 	c.Parallelism = 0
 	c.Shards = 0
 	c.Steps = 0
-	c.ShardLayout = ""
 	c.ShardTraffic = nil
 	return &c
 }

@@ -56,6 +56,7 @@ func TestWriteLoadRoundTripDir(t *testing.T) {
 // TestStepsReportedLiveStrippedCanonical: a simulator-backed experiment
 // reports its machine-step work on the live result, and Canonical strips it
 // (like elapsed_ms) so persisted bytes stay independent of the work counter.
+// These runs are unsharded, so they report no shard traffic.
 func TestStepsReportedLiveStrippedCanonical(t *testing.T) {
 	results := sampleResults(t)
 	var sawSteps bool
@@ -65,6 +66,9 @@ func TestStepsReportedLiveStrippedCanonical(t *testing.T) {
 		}
 		if Canonical(res).Steps != 0 {
 			t.Fatalf("%s: canonical form kept steps = %d", res.Name, Canonical(res).Steps)
+		}
+		if res.ShardTraffic != nil {
+			t.Fatalf("%s: unsharded run reported shard traffic %+v", res.Name, *res.ShardTraffic)
 		}
 	}
 	if !sawSteps {

@@ -67,10 +67,6 @@ type BatchOptions struct {
 	// connected-but-stalled peer with a labeled error. Zero (the default)
 	// disables it; kernel keepalives still detect dead peers.
 	RemoteReadTimeout time.Duration
-	// Transports, when non-empty, enumerates the worker slots explicitly
-	// and overrides Workers/WorkerCommand/Remote. Primarily a testing
-	// seam; cmd wiring uses Workers and Remote.
-	Transports []Transport
 	// WorkerRetry, when true, retries a crashed worker's remaining tasks
 	// (including the in-flight one) once on a fresh worker before failing
 	// the batch. Task-level failures (the task itself returned an error)
@@ -258,26 +254,23 @@ func RunBatch(ctx context.Context, exps []*Experiment, opts BatchOptions) ([]*Re
 		},
 	}
 
-	transports := opts.Transports
-	if len(transports) == 0 {
+	var r runner = localRunner{jobs: opts.Jobs}
+	if opts.Workers > 0 || len(opts.Remote) > 0 {
+		p := &ProcRunner{
+			Workers: opts.Workers,
+			Command: opts.WorkerCommand,
+			Env:     opts.WorkerEnv,
+			Retry:   opts.WorkerRetry,
+			OnStats: opts.OnWorkerStats,
+		}
 		for _, addr := range opts.Remote {
-			transports = append(transports, &TCPTransport{
+			p.Transports = append(p.Transports, &TCPTransport{
 				Addr:        addr,
 				TLS:         opts.RemoteTLS,
 				ReadTimeout: opts.RemoteReadTimeout,
 			})
 		}
-	}
-	var r runner = localRunner{jobs: opts.Jobs}
-	if opts.Workers > 0 || len(transports) > 0 {
-		r = &ProcRunner{
-			Workers:    opts.Workers,
-			Command:    opts.WorkerCommand,
-			Env:        opts.WorkerEnv,
-			Transports: transports,
-			Retry:      opts.WorkerRetry,
-			OnStats:    opts.OnWorkerStats,
-		}
+		r = p
 	}
 	r.runTasks(bctx, state)
 

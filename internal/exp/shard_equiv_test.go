@@ -2,11 +2,11 @@ package exp
 
 // The sharded-execution acceptance tests: canonical result JSON must be
 // byte-identical between the sequential engine and WithShards(k) for k in
-// {1, 2, 4, 7} — across the whole catalog at the quick preset, across
-// every preset of the simulator-backed experiment, and under both shard
-// layouts ("range" and the fat-preorder "subtree" relabeling). CI repeats
-// the check end-to-end by cmp-ing `cmd/experiments -shards` output against
-// the serial run (see .github/workflows/ci.yml).
+// {1, 2, 4, 7} — across the whole catalog at the quick preset and across
+// every preset of the simulator-backed experiment. Sharded runs use the
+// engine's default layout; the sim tests check each layout against the
+// other. CI repeats the check end-to-end by cmp-ing `cmd/experiments
+// -shards` output against the serial run (see .github/workflows/ci.yml).
 
 import (
 	"context"
@@ -16,11 +16,6 @@ import (
 
 // shardCounts are the acceptance shard counts.
 var shardCounts = []int{1, 2, 4, 7}
-
-// shardLayouts are the acceptance shard layouts. An empty ShardLayout is
-// the engine default and identical to "range" by construction (the sim
-// tests pin that), so the explicit names are what need catalog coverage.
-var shardLayouts = []string{"range", "subtree"}
 
 // canonicalBytes marshals the canonical (elapsed- and mechanics-stripped)
 // form of a result.
@@ -47,16 +42,13 @@ func TestShardedCanonicalBytesCatalogWide(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := canonicalBytes(t, base)
-			for _, layout := range shardLayouts {
-				for _, k := range shardCounts {
-					res, err := e.Run(context.Background(), RunConfig{Preset: PresetQuick, Shards: k, ShardLayout: layout})
-					if err != nil {
-						t.Fatalf("shards=%d layout=%s: %v", k, layout, err)
-					}
-					if got := canonicalBytes(t, res); string(got) != string(want) {
-						t.Fatalf("shards=%d layout=%s: canonical JSON diverges from sequential\n got: %s\nwant: %s",
-							k, layout, got, want)
-					}
+			for _, k := range shardCounts {
+				res, err := e.Run(context.Background(), RunConfig{Preset: PresetQuick, Shards: k})
+				if err != nil {
+					t.Fatalf("shards=%d: %v", k, err)
+				}
+				if got := canonicalBytes(t, res); string(got) != string(want) {
+					t.Fatalf("shards=%d: canonical JSON diverges from sequential\n got: %s\nwant: %s", k, got, want)
 				}
 			}
 		})
@@ -86,15 +78,13 @@ func TestShardedCanonicalBytesEveryPreset(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := canonicalBytes(t, base)
-			for _, layout := range shardLayouts {
-				for _, k := range shardCounts {
-					res, err := e.Run(context.Background(), RunConfig{Preset: preset, Shards: k, ShardLayout: layout})
-					if err != nil {
-						t.Fatalf("shards=%d layout=%s: %v", k, layout, err)
-					}
-					if got := canonicalBytes(t, res); string(got) != string(want) {
-						t.Fatalf("shards=%d layout=%s: canonical JSON diverges from sequential", k, layout)
-					}
+			for _, k := range shardCounts {
+				res, err := e.Run(context.Background(), RunConfig{Preset: preset, Shards: k})
+				if err != nil {
+					t.Fatalf("shards=%d: %v", k, err)
+				}
+				if got := canonicalBytes(t, res); string(got) != string(want) {
+					t.Fatalf("shards=%d: canonical JSON diverges from sequential", k)
 				}
 			}
 		})
@@ -112,22 +102,20 @@ func TestShardedBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, layout := range shardLayouts {
-		sharded, err := RunBatch(context.Background(), exps, BatchOptions{
-			Jobs: 4, Config: RunConfig{Preset: PresetQuick, Shards: 7, ShardLayout: layout},
-		})
-		if err != nil {
-			t.Fatalf("layout=%s: %v", layout, err)
-		}
-		if len(serial) != len(sharded) {
-			t.Fatalf("layout=%s: result counts differ: %d vs %d", layout, len(serial), len(sharded))
-		}
-		for i := range serial {
-			a := canonicalBytes(t, serial[i])
-			b := canonicalBytes(t, sharded[i])
-			if string(a) != string(b) {
-				t.Fatalf("%s (layout=%s): sharded batch diverges from serial", serial[i].Name, layout)
-			}
+	sharded, err := RunBatch(context.Background(), exps, BatchOptions{
+		Jobs: 4, Config: RunConfig{Preset: PresetQuick, Shards: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial) != len(sharded) {
+		t.Fatalf("result counts differ: %d vs %d", len(serial), len(sharded))
+	}
+	for i := range serial {
+		a := canonicalBytes(t, serial[i])
+		b := canonicalBytes(t, sharded[i])
+		if string(a) != string(b) {
+			t.Fatalf("%s: sharded batch diverges from serial", serial[i].Name)
 		}
 	}
 }

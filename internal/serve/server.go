@@ -147,63 +147,25 @@ type Server struct {
 	storeServes  atomic.Uint64
 	batchResults atomic.Uint64
 
-	// traffic accumulates cross-shard traffic from freshly computed results,
-	// keyed by shard layout ("range", "subtree"). Stored results are
-	// canonical — the mechanics are stripped — so these counters are the
-	// service's only view of what each layout actually cost.
-	trafficMu sync.Mutex
-	traffic   map[string]*LayoutTraffic
+	// The cumulative cross-shard traffic of freshly computed sharded
+	// results. Stored results are canonical (the mechanics are stripped), so
+	// these counters are the service's only view of what sharding cost.
+	// /statsz reads them one by one, so a read racing a record may see
+	// part of it.
+	shardResults  atomic.Uint64
+	boundaryEdges atomic.Int64
+	crossed       atomic.Int64
 }
 
-// LayoutTraffic is one layout's cumulative cross-shard traffic across every
-// sharded computation the service performed under it.
-type LayoutTraffic struct {
-	// Results counts freshly computed results that ran sharded under this
-	// layout (warm store hits compute nothing and are not counted).
-	Results uint64 `json:"results"`
-	// BoundaryEdges is the cumulative count of tree edges crossing a shard
-	// boundary, summed over those results. It is the objective the subtree
-	// layout minimizes, so comparing layouts here shows the reduction.
-	BoundaryEdges int64 `json:"boundary_edges"`
-	// MessagesCrossed is the cumulative count of simulator messages sent
-	// across shard boundaries.
-	MessagesCrossed int64 `json:"messages_crossed"`
-}
-
-// recordTraffic books a freshly computed result's cross-shard traffic under
-// its layout. Results that ran unsharded (no traffic block) are skipped.
+// recordTraffic books a freshly computed result's cross-shard traffic.
+// Results that ran unsharded (no traffic block) are skipped.
 func (s *Server) recordTraffic(res *exp.Result) {
 	if res == nil || res.ShardTraffic == nil {
 		return
 	}
-	layout := res.ShardLayout
-	if layout == "" {
-		layout = "range"
-	}
-	s.trafficMu.Lock()
-	defer s.trafficMu.Unlock()
-	if s.traffic == nil {
-		s.traffic = make(map[string]*LayoutTraffic)
-	}
-	t := s.traffic[layout]
-	if t == nil {
-		t = &LayoutTraffic{}
-		s.traffic[layout] = t
-	}
-	t.Results++
-	t.BoundaryEdges += res.ShardTraffic.BoundaryEdges
-	t.MessagesCrossed += res.ShardTraffic.MessagesCrossed
-}
-
-// trafficSnapshot copies the per-layout traffic counters for /statsz.
-func (s *Server) trafficSnapshot() map[string]LayoutTraffic {
-	s.trafficMu.Lock()
-	defer s.trafficMu.Unlock()
-	out := make(map[string]LayoutTraffic, len(s.traffic))
-	for layout, t := range s.traffic {
-		out[layout] = *t
-	}
-	return out
+	s.shardResults.Add(1)
+	s.boundaryEdges.Add(res.ShardTraffic.BoundaryEdges)
+	s.crossed.Add(res.ShardTraffic.MessagesCrossed)
 }
 
 // New validates cfg, applies defaults, and returns a Server.
@@ -294,17 +256,10 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseRunConfig reads the shared run parameters (preset, seed, parallel,
-// shards, shard-layout) plus the optional per-request timeout from query
-// values.
+// shards) plus the optional per-request timeout from query values.
 func parseRunConfig(get func(string) string) (exp.RunConfig, time.Duration, error) {
 	var cfg exp.RunConfig
 	cfg.Preset = get("preset")
-	if v := get("shard-layout"); v != "" {
-		if err := validShardLayout(v); err != nil {
-			return cfg, 0, err
-		}
-		cfg.ShardLayout = v
-	}
 	var timeout time.Duration
 	if v := get("seed"); v != "" {
 		seed, err := strconv.ParseUint(v, 10, 64)
@@ -333,16 +288,6 @@ func parseRunConfig(get func(string) string) (exp.RunConfig, time.Duration, erro
 		timeout = d
 	}
 	return cfg, timeout, nil
-}
-
-// validShardLayout rejects a layout name the simulator does not implement,
-// so a typo gets a clean 400 instead of a mid-computation failure.
-func validShardLayout(v string) error {
-	switch v {
-	case "range", "subtree":
-		return nil
-	}
-	return fmt.Errorf("shard-layout %q: want \"range\" or \"subtree\"", v)
 }
 
 // effectiveTimeout combines the server ceiling with a per-request value:
@@ -560,9 +505,6 @@ type batchRequest struct {
 	Seed        uint64   `json:"seed,omitempty"`
 	Parallel    int      `json:"parallel,omitempty"`
 	Shards      int      `json:"shards,omitempty"`
-	// ShardLayout selects the shard partitioning layout ("range" or
-	// "subtree"); empty means range. Results are identical under both.
-	ShardLayout string `json:"shard_layout,omitempty"`
 	// Timeout is a Go duration string bounding the whole batch; it may
 	// lower the server ceiling, never raise it.
 	Timeout string `json:"timeout,omitempty"`
@@ -603,14 +545,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		reqTimeout = d
 	}
-	if req.ShardLayout != "" {
-		if err := validShardLayout(req.ShardLayout); err != nil {
-			s.writeError(w, http.StatusBadRequest, errorEnvelope{Error: err.Error(), Label: "batch"})
-			return
-		}
-	}
 	cfg := exp.RunConfig{Preset: req.Preset, Seed: req.Seed,
-		Parallelism: req.Parallel, Shards: req.Shards, ShardLayout: req.ShardLayout}
+		Parallelism: req.Parallel, Shards: req.Shards}
 
 	var exps []*exp.Experiment
 	if len(req.Experiments) == 0 || (len(req.Experiments) == 1 && req.Experiments[0] == "all") {
@@ -717,9 +653,16 @@ type statszBody struct {
 	// draw instances from (hit/miss/build-time, per-kind breakdown).
 	InstanceCache inst.Stats `json:"instance_cache"`
 	// ShardTraffic is the cumulative cross-shard traffic of freshly computed
-	// sharded results, keyed by shard layout ("range", "subtree"). Empty
-	// until a sharded computation runs.
-	ShardTraffic map[string]LayoutTraffic `json:"shard_traffic"`
+	// sharded results; all zero until a sharded computation runs. Results
+	// counts those results (warm store hits compute nothing and are not
+	// counted), BoundaryEdges the tree edges crossing a shard boundary and
+	// MessagesCrossed the simulator messages sent across one, summed over
+	// them.
+	ShardTraffic struct {
+		Results         uint64 `json:"results"`
+		BoundaryEdges   int64  `json:"boundary_edges"`
+		MessagesCrossed int64  `json:"messages_crossed"`
+	} `json:"shard_traffic"`
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
@@ -740,7 +683,9 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	body.Admission.Rejected = rejected
 	body.ResultStore = s.cfg.Store.Stats()
 	body.InstanceCache = exp.InstanceCache().Stats()
-	body.ShardTraffic = s.trafficSnapshot()
+	body.ShardTraffic.Results = s.shardResults.Load()
+	body.ShardTraffic.BoundaryEdges = s.boundaryEdges.Load()
+	body.ShardTraffic.MessagesCrossed = s.crossed.Load()
 	raw, err := json.MarshalIndent(body, "", "  ")
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, errorEnvelope{Error: err.Error(), Label: "statsz"})

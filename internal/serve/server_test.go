@@ -5,7 +5,8 @@ package serve
 // instance builds), singleflight coalescing of identical cold requests,
 // admission saturation (429, never unbounded queuing), the JSON error
 // envelope with its status mapping, batch NDJSON streaming with store
-// write-through, and request-context propagation into compute cancellation.
+// write-through, request-context propagation into compute cancellation, and
+// the /statsz shard-traffic counters.
 
 import (
 	"bytes"
@@ -335,6 +336,51 @@ func TestWarmRequestBuildsNothing(t *testing.T) {
 	}
 	if d := srv.cfg.Store.Stats().Hits - hitsBefore; d != 1 {
 		t.Fatalf("store hits advanced by %d, want 1", d)
+	}
+}
+
+// TestStatszShardTraffic: /statsz shard_traffic starts at zero, a cold
+// sharded compute feeds it, and an unsharded cold compute or a store hit
+// leaves it unchanged.
+func TestStatszShardTraffic(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	traffic := func() (results uint64, boundary, crossed int64) {
+		t.Helper()
+		status, _, raw := get(t, ts.URL+"/statsz")
+		if status != http.StatusOK {
+			t.Fatalf("statsz status = %d: %s", status, raw)
+		}
+		var body statszBody
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Fatal(err)
+		}
+		st := body.ShardTraffic
+		return st.Results, st.BoundaryEdges, st.MessagesCrossed
+	}
+	fetch := func(query, store string) {
+		t.Helper()
+		status, hdr, raw := get(t, ts.URL+"/v1/experiments/twocoloring-gap?preset=quick"+query)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", query, status, raw)
+		}
+		if s := hdr.Get("X-Expd-Store"); s != store {
+			t.Fatalf("%s: store header = %q, want %s", query, s, store)
+		}
+	}
+
+	if r, b, c := traffic(); r != 0 || b != 0 || c != 0 {
+		t.Fatalf("fresh server traffic = (%d, %d, %d), want zero", r, b, c)
+	}
+	fetch("&shards=2", "miss")
+	results, boundary, crossed := traffic()
+	if results != 1 || boundary <= 0 {
+		t.Fatalf("after a sharded cold compute: results = %d, boundary edges = %d; want 1 and > 0", results, boundary)
+	}
+	fetch("&seed=5", "miss")
+	fetch("&shards=2", "hit")
+	if r, b, c := traffic(); r != results || b != boundary || c != crossed {
+		t.Fatalf("unsharded compute or store hit moved traffic: (%d, %d, %d) -> (%d, %d, %d)",
+			results, boundary, crossed, r, b, c)
 	}
 }
 
