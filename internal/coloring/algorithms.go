@@ -16,7 +16,10 @@ type LinialAlgorithm struct {
 	Delta int
 }
 
-var _ sim.Algorithm = LinialAlgorithm{}
+var (
+	_ sim.Algorithm = LinialAlgorithm{}
+	_ sim.Sleeper   = (*linialMachine)(nil)
+)
 
 // Name implements sim.Algorithm.
 func (a LinialAlgorithm) Name() string { return "linial-coloring" }
@@ -45,6 +48,7 @@ type colorMsg struct{ color int64 }
 
 func (m *linialMachine) Step(round int, recv []any) ([]any, bool) {
 	if round > 0 {
+		m.reducer.skipTo(round)
 		var nbr []int64
 		// A greedy round of another color class only counts the class down,
 		// so recv is decoded only for a round that reads it.
@@ -85,6 +89,12 @@ func (m *linialMachine) Step(round int, recv []any) ([]any, bool) {
 
 func (m *linialMachine) Output() any { return m.reducer.Color() }
 
+// Idle implements sim.Sleeper: a greedy round of another color class only
+// counts the class down, which Step catches up from the round number, so
+// the node is idle until the round that eliminates its own class, or, once
+// its color is final, until the last round.
+func (m *linialMachine) Idle(int) int { return m.reducer.idleRounds() }
+
 // TwoColorPathAlgorithm 2-colors a path graph in Θ(n) worst-case rounds:
 // each endpoint floods its identifier and a hop counter; a node terminates
 // once it has heard from both endpoints, coloring itself by the parity of
@@ -94,7 +104,10 @@ func (m *linialMachine) Output() any { return m.reducer.Color() }
 // Θ(n) — the paper's Corollary 60 regime.
 type TwoColorPathAlgorithm struct{}
 
-var _ sim.Algorithm = TwoColorPathAlgorithm{}
+var (
+	_ sim.Algorithm = TwoColorPathAlgorithm{}
+	_ sim.Sleeper   = (*twoColorMachine)(nil)
+)
 
 // Name implements sim.Algorithm.
 func (TwoColorPathAlgorithm) Name() string { return "two-color-path" }
@@ -185,6 +198,10 @@ func (m *twoColorMachine) colorFrom(a, b endpointMsg) int64 {
 }
 
 func (m *twoColorMachine) Output() any { return m.out }
+
+// Idle implements sim.Sleeper: a step that learns no endpoint sends nothing
+// and changes nothing, and only an endpoint message teaches one.
+func (m *twoColorMachine) Idle(int) int { return sim.UntilMessage }
 
 // VerifyProperColoring reports whether no edge of t has equal colors at its
 // endpoints; colors[v] is the color of node v. Otherwise it returns the

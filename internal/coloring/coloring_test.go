@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -333,6 +334,75 @@ func TestNodeKernelAllocs(t *testing.T) {
 		if allocs > perNode*float64(n) {
 			t.Errorf("%s: %.0f allocations for %d nodes, want at most %d per node",
 				tc.name, allocs, n, perNode)
+		}
+	}
+}
+
+// stepCounts wraps an algorithm and counts the Step calls of its machines;
+// they sleep when the algorithm's do.
+type stepCounts struct {
+	sim.Algorithm
+	calls atomic.Int64
+}
+
+func (a *stepCounts) NewMachine(info sim.NodeInfo) sim.Machine {
+	return &countedMachine{Machine: a.Algorithm.NewMachine(info), calls: &a.calls}
+}
+
+type countedMachine struct {
+	sim.Machine
+	calls *atomic.Int64
+}
+
+func (m *countedMachine) Step(round int, recv []any) ([]any, bool) {
+	m.calls.Add(1)
+	return m.Machine.Step(round, recv)
+}
+
+func (m *countedMachine) Idle(round int) int { return m.Machine.(sim.Sleeper).Idle(round) }
+
+// TestNodeKernelsSkipIdleSteps bounds the Step calls the engine makes per
+// node on every backend: a Linial node of a Galton-Watson tree is charged
+// about 120 rounds and a two-coloring node of a 2048-node path about 1536,
+// but each steps only in its reduction rounds, in the greedy round of its
+// own color class and in its last round, or when an endpoint message
+// arrives: at most 6 and 5 times.
+func TestNodeKernelsSkipIdleSteps(t *testing.T) {
+	gw, err := graph.BuildGaltonWatson(2000, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := graph.BuildPath(2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		tr    *graph.Tree
+		alg   sim.Algorithm
+		bound int64
+	}{
+		{"gw2000-linial", gw, LinialAlgorithm{Delta: gw.MaxDegree()}, 6},
+		{"path2048-2color", path, TwoColorPathAlgorithm{}, 5},
+	} {
+		n := int64(tc.tr.N())
+		for backend, opts := range map[string][]sim.Option{
+			"seq":            nil,
+			"par2":           {sim.WithParallelism(2)},
+			"shard3-range":   {sim.WithShards(3), sim.WithShardLayout(sim.LayoutRange)},
+			"shard3-subtree": {sim.WithShards(3), sim.WithShardLayout(sim.LayoutSubtree)},
+		} {
+			alg := &stepCounts{Algorithm: tc.alg}
+			res, err := sim.NewEngine(append([]sim.Option{sim.WithIDs(sim.DefaultIDs(int(n), 1))}, opts...)...).Run(tc.tr, alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := tc.name + " on " + backend
+			calls := alg.calls.Load()
+			t.Logf("%s: %.2f Step calls and %.1f steps per node", name, float64(calls)/float64(n), float64(res.Steps)/float64(n))
+			if calls > tc.bound*n {
+				t.Errorf("%s: %d Step calls for %d nodes, want at most %d per node", name, calls, n, tc.bound)
+			}
 		}
 	}
 }

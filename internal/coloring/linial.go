@@ -31,7 +31,7 @@ import (
 type Reducer struct {
 	delta    int
 	schedule []paletteStep
-	phase    int // index into schedule (reduction), then greedy countdown
+	phase    int // rounds advanced: an index into schedule, then past it
 	greedyC  int // current color class being eliminated; < 0 when finished
 	color    int64
 	done     bool
@@ -206,11 +206,38 @@ func (r *Reducer) Advance(neighborColors []int64) error {
 	if r.color == int64(r.greedyC) {
 		r.color = smallestFree(neighborColors)
 	}
+	r.phase++
 	r.greedyC--
 	if r.greedyC <= r.delta {
 		r.done = true
 	}
 	return nil
+}
+
+// skipTo catches the greedy countdown up to a node that is about to advance
+// in round `round` (round r performs the r-th advance) after sleeping
+// through the greedy rounds of other classes: each of them would only have
+// counted the class down. A reducer that has advanced every round is left
+// alone.
+func (r *Reducer) skipTo(round int) {
+	if missed := round - 1 - r.phase; missed > 0 && r.phase >= len(r.schedule) {
+		r.phase += missed
+		r.greedyC -= missed
+	}
+}
+
+// idleRounds returns how many of the following advances provably leave the
+// color unchanged without reading the neighbors: the greedy rounds of other
+// classes before the one that eliminates the node's own class, or, once its
+// color is final (at most Δ), before the last greedy round, in which the
+// reduction finishes. A reduction round reads the neighbors, so it is never
+// idle.
+func (r *Reducer) idleRounds() int {
+	if r.done || r.phase < len(r.schedule) {
+		return 0
+	}
+	// The next advance eliminates class greedyC, and the last one class Δ+1.
+	return max(0, r.greedyC-max(int(r.color), r.delta+1))
 }
 
 // readsNeighbors reports whether the next Advance reads its neighbor colors:

@@ -579,8 +579,10 @@ func TestVerifyProperColoringAllocatesNothing(t *testing.T) {
 // oracleLinialMachine is linialMachine with the Step it had before idle
 // greedy rounds returned at once: every round after round 0 decodes every
 // neighbor message, and every round boxes the color afresh and refills
-// every port.
+// every port. It never sleeps, so the engine runs every one of its steps.
 type oracleLinialMachine struct{ linialMachine }
+
+func (m *oracleLinialMachine) Idle(int) int { return 0 }
 
 func (m *oracleLinialMachine) Step(round int, recv []any) ([]any, bool) {
 	if round > 0 {
@@ -625,8 +627,10 @@ func (a oracleLinialAlgorithm) NewMachine(info sim.NodeInfo) sim.Machine {
 
 // oracleTwoColorMachine is twoColorMachine with the Step it had before a
 // step that learns no endpoint returned at once: every step type-checks its
-// inbox and recomputes both send slots.
+// inbox and recomputes both send slots. It never sleeps.
 type oracleTwoColorMachine struct{ twoColorMachine }
+
+func (m *oracleTwoColorMachine) Idle(int) int { return 0 }
 
 func (m *oracleTwoColorMachine) Step(round int, recv []any) ([]any, bool) {
 	for p, msg := range recv[:min(len(recv), len(m.ends))] {
@@ -680,32 +684,62 @@ func (oracleTwoColorAlgorithm) NewMachine(info sim.NodeInfo) sim.Machine {
 
 // sendDigests wraps an algorithm so that each machine folds every message
 // it sends, with the round, its node ID and the port, into its own FNV-1a
-// digest. After a run, digests maps each node ID to its machine's digest.
+// digest. A wrapped machine sleeps when the algorithm's does, unless
+// everyRound is set; the rounds the engine skipped are folded in with the
+// sends that stood in them, so a sleeping run and one that steps every round
+// give equal digests. After a run, digests maps each node ID to its
+// machine's digest.
 type sendDigests struct {
-	alg     sim.Algorithm
-	mu      sync.Mutex
-	digests map[uint64]hash.Hash64
+	alg        sim.Algorithm
+	everyRound bool
+	mu         sync.Mutex
+	digests    map[uint64]hash.Hash64
 }
 
 func (a *sendDigests) Name() string { return a.alg.Name() }
 
 func (a *sendDigests) NewMachine(info sim.NodeInfo) sim.Machine {
-	m := &digestMachine{Machine: a.alg.NewMachine(info), id: info.ID, h: fnv.New64a()}
+	m := &digestMachine{Machine: a.alg.NewMachine(info), id: info.ID, h: fnv.New64a(), last: -1}
 	a.mu.Lock()
 	a.digests[info.ID] = m.h
 	a.mu.Unlock()
+	if a.everyRound {
+		return stepsEveryRound{m}
+	}
 	return m
 }
 
+// stepsEveryRound hides a machine's Idle, so the engine runs all its steps.
+type stepsEveryRound struct{ sim.Machine }
+
 type digestMachine struct {
 	sim.Machine
-	id  uint64
-	h   hash.Hash64
-	buf []byte
+	id   uint64
+	h    hash.Hash64
+	buf  []byte
+	last int   // the round of the last step run
+	sent []any // what that step sent, which stands while the node sleeps
 }
 
 func (m *digestMachine) Step(round int, recv []any) ([]any, bool) {
+	for r := m.last + 1; r < round; r++ {
+		m.fold(r, m.sent)
+	}
 	send, done := m.Machine.Step(round, recv)
+	m.fold(round, send)
+	m.last, m.sent = round, send
+	return send, done
+}
+
+func (m *digestMachine) Idle(round int) int {
+	if s, ok := m.Machine.(sim.Sleeper); ok {
+		return s.Idle(round)
+	}
+	return 0
+}
+
+// fold adds the messages sent in a round to the digest.
+func (m *digestMachine) fold(round int, send []any) {
 	for port, msg := range send {
 		if msg == nil {
 			continue
@@ -726,17 +760,19 @@ func (m *digestMachine) Step(round int, recv []any) ([]any, bool) {
 		m.h.Write(b)
 		m.buf = b
 	}
-	return send, done
 }
 
 // TestNodeKernelsMatchOracle runs the Linial and two-coloring machines and
 // their pre-shortcut Step bodies (the oracles above) on the same trees and
 // IDs through every backend: sequential, 2 and 4 workers, and 2 and 3
-// shards on both layouts. Outputs, Rounds, TotalRounds, Messages and Steps
-// must be deeply equal, and so must every node's digest of the (round,
-// node, port, message) sequence it sent. Linial runs on Galton-Watson trees
-// with up to 3 and 5 children, ladders, paths and a star with 12 leaves
-// (above the stack scratch); the two-coloring on paths.
+// shards on both layouts. The real machines sleep through their idle steps
+// and the oracles step every round; on one more sequential backend the real
+// machines step every round too, since Step must give the same results
+// whether or not its idle steps ran. Outputs, Rounds, TotalRounds, Messages
+// and Steps must be deeply equal, and so must every node's digest of the
+// (round, node, port, message) sequence it sent. Linial runs on
+// Galton-Watson trees with up to 3 and 5 children, ladders, paths and a star
+// with 12 leaves (above the stack scratch); the two-coloring on paths.
 func TestNodeKernelsMatchOracle(t *testing.T) {
 	type tc struct {
 		name      string
@@ -768,28 +804,28 @@ func TestNodeKernelsMatchOracle(t *testing.T) {
 		add(fmt.Sprintf("path%d", n), tr, err)
 		cases = append(cases, tc{fmt.Sprintf("path%d-2color", n), tr, TwoColorPathAlgorithm{}, oracleTwoColorAlgorithm{}})
 	}
-	backends := []struct {
-		name string
-		opts []sim.Option
-	}{
-		{"seq", nil},
-		{"par2", []sim.Option{sim.WithParallelism(2)}},
-		{"par4", []sim.Option{sim.WithParallelism(4)}},
+	type backend struct {
+		name       string
+		opts       []sim.Option
+		everyRound bool
+	}
+	backends := []backend{
+		{"seq", nil, false},
+		{"seq-every-round", nil, true},
+		{"par2", []sim.Option{sim.WithParallelism(2)}, false},
+		{"par4", []sim.Option{sim.WithParallelism(4)}, false},
 	}
 	for _, k := range []int{2, 3} {
 		for _, l := range []sim.ShardLayout{sim.LayoutRange, sim.LayoutSubtree} {
-			backends = append(backends, struct {
-				name string
-				opts []sim.Option
-			}{fmt.Sprintf("shard%d-%s", k, l), []sim.Option{sim.WithShards(k), sim.WithShardLayout(l)}})
+			backends = append(backends, backend{fmt.Sprintf("shard%d-%s", k, l), []sim.Option{sim.WithShards(k), sim.WithShardLayout(l)}, false})
 		}
 	}
-	run := func(tr *graph.Tree, alg sim.Algorithm, opts []sim.Option) (*sim.Result, map[uint64]uint64) {
+	run := func(tr *graph.Tree, alg sim.Algorithm, b backend) (*sim.Result, map[uint64]uint64) {
 		t.Helper()
-		rec := &sendDigests{alg: alg, digests: make(map[uint64]hash.Hash64)}
+		rec := &sendDigests{alg: alg, everyRound: b.everyRound, digests: make(map[uint64]hash.Hash64)}
 		// The star's schedule (830 rounds) outlasts the default round limit
 		// of a 13-node run.
-		opts = append([]sim.Option{sim.WithIDs(sim.DefaultIDs(tr.N(), 7)), sim.WithMaxRounds(4*tr.N() + 1000)}, opts...)
+		opts := append([]sim.Option{sim.WithIDs(sim.DefaultIDs(tr.N(), 7)), sim.WithMaxRounds(4*tr.N() + 1000)}, b.opts...)
 		res, err := sim.NewEngine(opts...).Run(tr, rec)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
@@ -802,8 +838,8 @@ func TestNodeKernelsMatchOracle(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, b := range backends {
-			got, gotSent := run(c.tr, c.alg, b.opts)
-			want, wantSent := run(c.tr, c.want, b.opts)
+			got, gotSent := run(c.tr, c.alg, b)
+			want, wantSent := run(c.tr, c.want, b)
 			for _, f := range []struct {
 				name      string
 				got, want any

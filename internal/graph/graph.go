@@ -222,15 +222,18 @@ func (t *Tree) validateOn(mark, queue []int32) error {
 
 // Builder incrementally constructs a Tree. It records nodes as a count and
 // edges as one insertion-ordered list; Build counting-sorts that list into
-// the immutable CSR layout, so port p of v is the p-th edge added at v.
+// the immutable CSR layout, so port p of v is the p-th edge added at v. A
+// Builder is spent after Build, which reuses the edge list as scratch: it
+// must not be added to or built again.
 type Builder struct {
 	n     int
 	edges []int32 // edge i is {edges[2i], edges[2i+1]}, in insertion order
 }
 
-// NewBuilder returns a Builder with capacity hints for n nodes.
+// NewBuilder returns a Builder with capacity hints for n nodes: room for
+// the n-1 edges of a tree and for Build's validation scratch, 2n entries.
 func NewBuilder(n int) *Builder {
-	return &Builder{edges: make([]int32, 0, 2*max(n-1, 0))}
+	return &Builder{edges: make([]int32, 0, 2*max(n, 0))}
 }
 
 // AddNode appends a new isolated node and returns its index.
@@ -282,7 +285,10 @@ func (b *Builder) AttachPath(at, pathLen int) ([]int, error) {
 }
 
 // Build finalizes the tree: counting-sorts the edge list into CSR form and
-// validates the structural invariants.
+// validates the structural invariants. The edge list is dead once the CSR
+// is written, so validation runs on it when it has room for Validate's two
+// n-entry arrays; only a Builder that outgrew its capacity hint allocates
+// them. The Builder is spent afterwards.
 func (b *Builder) Build() (*Tree, error) {
 	n := b.n
 	off := make([]int32, n+1)
@@ -309,7 +315,15 @@ func (b *Builder) Build() (*Tree, error) {
 		nbr[off[v]] = u
 	}
 	t := &Tree{off: off, nbr: nbr, m: len(b.edges) / 2, maxDeg: maxDeg}
-	if err := t.Validate(); err != nil {
+	scratch := b.edges[:cap(b.edges)]
+	b.edges = nil
+	var err error
+	if len(scratch) >= 2*n {
+		err = t.validateOn(scratch[:n], scratch[n:])
+	} else {
+		err = t.Validate()
+	}
+	if err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -34,8 +34,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -255,10 +258,21 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(raw, '\n'))
 }
 
+// runParams are the query parameters of GET /v1/experiments/{name}.
+var runParams = []string{"preset", "seed", "parallel", "shards", "timeout"}
+
 // parseRunConfig reads the shared run parameters (preset, seed, parallel,
-// shards) plus the optional per-request timeout from query values.
-func parseRunConfig(get func(string) string) (exp.RunConfig, time.Duration, error) {
+// shards) plus the optional per-request timeout from query values. Any other
+// key is an error, so a misspelt parameter cannot silently run a different
+// computation.
+func parseRunConfig(q url.Values) (exp.RunConfig, time.Duration, error) {
 	var cfg exp.RunConfig
+	for _, k := range slices.Sorted(maps.Keys(q)) {
+		if !slices.Contains(runParams, k) {
+			return cfg, 0, fmt.Errorf("unknown parameter %q: want %s", k, strings.Join(runParams, ", "))
+		}
+	}
+	get := q.Get
 	cfg.Preset = get("preset")
 	var timeout time.Duration
 	if v := get("seed"); v != "" {
@@ -324,7 +338,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, env)
 		return
 	}
-	cfg, reqTimeout, err := parseRunConfig(r.URL.Query().Get)
+	cfg, reqTimeout, err := parseRunConfig(r.URL.Query())
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, errorEnvelope{Error: err.Error(), Label: name})
 		return
@@ -532,7 +546,9 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchReqs.Add(1)
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields() // a misspelt field must not run something else
+	if err := dec.Decode(&req); err != nil {
 		s.writeError(w, http.StatusBadRequest, errorEnvelope{Error: "decoding request body: " + err.Error(), Label: "batch"})
 		return
 	}

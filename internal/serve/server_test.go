@@ -520,6 +520,8 @@ func TestErrorEnvelopeStatusCodes(t *testing.T) {
 		{"bad seed", "/v1/experiments/survivors?seed=banana", http.StatusBadRequest, "survivors"},
 		{"bad shards", "/v1/experiments/survivors?shards=lots", http.StatusBadRequest, "survivors"},
 		{"bad timeout", "/v1/experiments/survivors?timeout=-3", http.StatusBadRequest, "survivors"},
+		{"unknown parameter", "/v1/experiments/survivors?preset=quick&shard=2", http.StatusBadRequest, "survivors"},
+		{"removed parameter", "/v1/experiments/survivors?preset=quick&shard-layout=subtree", http.StatusBadRequest, "survivors"},
 		{"deadline exceeded", "/v1/experiments/" + slow + "?timeout=50ms", http.StatusGatewayTimeout, slow},
 	}
 	for _, tc := range cases {
@@ -589,6 +591,33 @@ func TestBatchUnknownExperiment(t *testing.T) {
 	}
 	if env := decodeEnvelope(t, raw); env.Label != "nope" {
 		t.Fatalf("label = %q, want nope", env.Label)
+	}
+}
+
+// TestBatchRejectsUnknownFields: a batch body with a field the service does
+// not read fails with the envelope before anything runs, instead of running
+// with that field's default.
+func TestBatchRejectsUnknownFields(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	for _, body := range []string{
+		`{"experiments":["survivors"],"presett":"quick"}`,
+		`{"experiments":["survivors"],"preset":"quick","shard_layout":"subtree"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (%s)", body, resp.StatusCode, raw)
+		}
+		if env := decodeEnvelope(t, raw); env.Label != "batch" || !strings.Contains(env.Error, "unknown field") {
+			t.Fatalf("%s: envelope %+v, want the batch label and the unknown field", body, env)
+		}
+	}
+	if n := srv.computes.Load(); n != 0 {
+		t.Fatalf("%d computes for rejected batches, want 0", n)
 	}
 }
 

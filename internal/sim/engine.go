@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,27 +18,29 @@ import (
 // parallelism level.
 //
 // All backends schedule over the active frontier: the compact list of nodes
-// that have not terminated yet. A round steps only frontier nodes, and the
-// frozen outputs of terminated nodes reach their live neighbors by pull
-// (each active node fills its empty inbox slots before stepping) instead of
-// a push sweep over the terminated set, so per-round cost is proportional to
-// the live-node count — Θ(Σ_v T_v) machine steps over a whole run instead of
-// Θ(n · TotalRounds).
+// that step this round. A node leaves it when it terminates or, if its
+// machine is a Sleeper, while its steps are idle; the round barrier files a
+// timed sleeper in a wake calendar and wakes a sleeper waiting for a message
+// when one is sent to it. Message slots are owned by their senders: a step
+// writes every one of its ports, nil included, and the barrier writes the
+// standing sends of a new sleeper and the frozen output of a terminated node
+// into both buffers, so no receiver ever clears or fills its inbox. Per-round
+// cost is therefore proportional to the steps that do something, while
+// Result.Steps still counts Σ_v (T_v+1).
 //
-// All backends also share one pull kernel, one step kernel, and one round
-// loop. A run is cut into parts — contiguous node ranges, each with its own
-// machines, frontier, and message slots: an unsharded run is one part over
-// [0, n), and WithShards(k) makes k parts that exchange only cross-part
-// messages at the round barrier (see shard.go). Each round is split into
-// units: contiguous chunks of the single part's frontier under
-// WithParallelism(p), or one unit per live part under WithShards(k). The
-// calling goroutine runs unit 0 of every phase itself; units 1.. run on
-// goroutines that live for the whole run, with a barrier after the pull
-// phase and after the step phase. The barrier is an atomic handoff: an
-// atomic phase counter releases the workers and an atomic pending count
-// reports them done, and a waiting side polls for a few tens of µs, when
-// the run has no more units than GOMAXPROCS, before it parks (see handoff).
-// The LOCAL model's synchronous-round barrier makes this
+// All backends also share one step kernel and one round loop. A run is cut
+// into parts — contiguous node ranges, each with its own machines, frontier,
+// and message slots: an unsharded run is one part over [0, n), and
+// WithShards(k) makes k parts that exchange only cross-part messages at the
+// round barrier (see shard.go). Each round is split into units: contiguous
+// chunks of the single part's frontier under WithParallelism(p), or one unit
+// per part with a non-empty frontier under WithShards(k). The calling
+// goroutine runs unit 0 itself; units 1.. run on goroutines that live for
+// the whole run, with a barrier after the step phase. The barrier is an
+// atomic handoff: an atomic phase counter releases the workers and an atomic
+// pending count reports them done, and a waiting side polls for a few tens
+// of µs, when the run has no more units than GOMAXPROCS, before it parks
+// (see handoff). The LOCAL model's synchronous-round barrier makes this
 // semantics-preserving: within a round, node v only reads its own inbox
 // (written during the previous round) and only writes the slots
 // next[u][port-back-to-v], which no other node writes. Rounds, outputs, and
@@ -176,17 +179,16 @@ func (e *Engine) Run(t *graph.Tree, alg Algorithm) (*Result, error) {
 
 	r := &run{alg: alg, ctx: e.ctx, maxRounds: maxRounds, workers: workers, live: n}
 	exec, inputs, cuts := t, e.inputs, graph.RangeCuts(n, k)
-	if k > 1 {
-		if e.layout == LayoutSubtree {
-			exec, ids, inputs, cuts = r.relabel(t, ids, inputs, k)
-		}
-		r.owner = (&graph.Layout{Cuts: cuts}).Owners()
+	if k > 1 && e.layout == LayoutSubtree {
+		exec, ids, inputs, cuts = r.relabel(t, ids, inputs, k)
 	}
 	r.off, r.nbrs, r.rev = exec.Offsets(), exec.AdjacencyRaw(), reverseSlots(exec)
 	r.dst = r.rev
 	r.machines = make([]Machine, n)
-	r.done = make([]bool, n)
-	r.frozen = make([]any, n)
+	r.state = make([]uint8, n)
+	r.idle = make([]int32, n)
+	r.fins = make([]int32, 0, n)
+	r.woken = make([]int32, 0, n)
 	r.res = &Result{Rounds: make([]int, n), Outputs: make([]any, n)}
 	active := make([]int32, n)
 	for v := range active {
@@ -203,7 +205,7 @@ func (e *Engine) Run(t *graph.Tree, alg Algorithm) (*Result, error) {
 		if hi <= lo {
 			return nil, fmt.Errorf("sim: internal: empty shard %d in cuts %v (n=%d, k=%d)", i, cuts, n, k)
 		}
-		r.parts[i] = part{lo: lo, hi: hi, active: active[lo:hi:hi], stats: ShardStats{Shard: i, Nodes: int(hi - lo)}}
+		r.parts[i] = part{lo: lo, hi: hi, active: active[lo:hi:hi], live: int(hi - lo), stats: ShardStats{Shard: i, Nodes: int(hi - lo)}}
 	}
 	slots := len(r.rev)
 	if k > 1 {
@@ -215,13 +217,13 @@ func (e *Engine) Run(t *graph.Tree, alg Algorithm) (*Result, error) {
 }
 
 // run is the mutable state of one execution, kept in struct-of-arrays form:
-// per-node facts (machines, done, frozen) are flat arrays indexed by node,
+// per-node facts (machines, state, idle) are flat arrays indexed by node,
 // and all message state lives in two flat arrays indexed by directed-edge
 // slot — port p of node v is slot off[v]+p, so the receive window of v is
 // the contiguous range inbox[off[v]:off[v+1]] and a round is a linear sweep
 // over contiguous memory. Because the tree is in CSR form, a part's node
 // range [lo, hi) owns the slot range [off[lo], off[hi)): only that part's
-// kernels touch those entries, and only the bus writes them for another
+// kernels touch those entries, and only the barrier writes them for another
 // part.
 //
 // Under the subtree layout every index here is an *execution* index: the run
@@ -239,20 +241,36 @@ type run struct {
 	rev  []int32 // rev[e] = flat slot of the reverse directed edge
 	// dst[e] is the slot a send on edge slot e is written to: rev[e], or,
 	// for an edge between two parts, the sender's staging slot (see stage).
-	dst   []int32
-	owner []int32 // owner[v] = part of node v; nil when there is one part
-	orig  []int32 // execution index -> construction index; nil = identity
+	dst  []int32
+	orig []int32 // execution index -> construction index; nil = identity
 
 	machines []Machine
-	done     []bool
-	// frozen[v] caches the boxed Terminated{Output} interface value created
-	// once when v terminates, so every later pull of it is allocation-free.
-	frozen []any
-	inbox  []any // flat receive slots (len 2*M), then the staging slots
-	next   []any // the same layout, written this round and swapped in next
-	parts  []part
-	live   int // nodes not yet terminated, over all parts
-	res    *Result
+	// state[v] is awake, napping, listening or finished. Only the barrier
+	// writes it, so the kernels may read any node's state during a step.
+	state []uint8
+	// idle[v] is written by the kernel when v leaves the frontier: 0 when v
+	// terminated, the rounds it naps, or UntilMessage. While v naps, the
+	// barrier reuses it as the link to the next node of v's calendar bucket.
+	idle  []int32
+	inbox []any // flat receive slots (len 2*M), then the staging slots
+	next  []any // the same layout, written this round and swapped in next
+	parts []part
+	live  int // nodes not yet terminated, over all parts
+	res   *Result
+
+	// Sleep and termination bookkeeping, all written by the barrier only.
+	// heads is the wake calendar, a ring of intrusive lists through idle:
+	// heads[t & (len-1)] lists the nodes napping until round t, for t in
+	// (round, round+len(heads)]. woke holds the units' message wakes, each
+	// unit in the slot range of its own nodes; woken collects the nodes
+	// that step again next round. fins is the termination order, fins[finsFrom:]
+	// the nodes that terminated last round.
+	heads     []int32
+	woke      []int32
+	woken     []int32
+	fins      []int32
+	finsFrom  int
+	listening int // nodes sleeping until a real message
 
 	// units holds this round's units. The coordinator runs unit 0 and
 	// worker w runs unit w ≥ 1; the coordinator writes units and round
@@ -263,37 +281,44 @@ type run struct {
 	hand  handoff
 }
 
+// Node states.
+const (
+	awake     uint8 = iota // on its part's frontier
+	napping                // filed in the wake calendar
+	listening              // sleeping until a real message
+	finished               // terminated
+)
+
+// maxNap caps the rounds a node is filed away for, which bounds the wake
+// calendar at maxNap+1 buckets. A longer sleep wakes for one idle step and
+// goes back to sleep, which the Sleeper contract allows.
+const maxNap = 1<<12 - 1
+
 // part is one contiguous node range [lo, hi) of the run, with its own
 // frontier.
 type part struct {
 	lo, hi int32
-	// active is the part's frontier: its undecided nodes, ascending,
-	// compacted in place as they terminate.
+	// active is the part's frontier: its awake nodes, ascending, compacted
+	// in place as they leave and merged with the nodes that wake.
 	active []int32
-	nDone  int // terminated so far; with remoteFrozen it gates the pull phase
-
-	// Multi-part runs only. cross lists the part's edge slots that lead to
-	// another part's node: the traffic the bus carries. remoteFrozen[e-off[lo]]
-	// caches the frozen output of the terminated remote neighbor behind
-	// receive slot e, delivered once by the bus; the pull phase serves it in
-	// every later round at zero bus cost. It is allocated on the first fill,
-	// so runs whose boundary nodes never terminate early pay nothing for it.
-	cross        []int32
-	remoteFrozen []any
+	live   int // nodes not yet terminated, sleepers included
 
 	stats ShardStats
 }
 
 // unit is one round's share of work: the frontier entries p.active[lo:hi).
-// The step kernel compacts the survivors to the front of that range and
-// reports its counters here.
+// The step kernel moves the nodes that stay awake to the front of that
+// range, in order, leaves the ones that fell asleep or terminated behind
+// them, and reports its counters here. woke[woke0:woke1] lists the
+// listening nodes its sends woke.
 type unit struct {
-	p      *part
-	lo, hi int
-	kept   int
-	steps  int64
-	msgs   int64
-	err    error
+	p            *part
+	lo, hi       int
+	kept         int
+	steps        int64
+	msgs         int64
+	woke0, woke1 int
+	err          error
 }
 
 // origNode maps an execution index back to its construction index.
@@ -304,10 +329,10 @@ func (r *run) origNode(v int) int {
 	return int(r.orig[v])
 }
 
-// execute drives the round loop: split the frontiers into units, pull and
-// step them behind a barrier each, merge, exchange boundary messages, and
-// swap the message buffers, until every node has terminated. The worker
-// goroutines live for the whole run and have exited when execute returns.
+// execute drives the round loop: split the frontiers into units, step them
+// behind a barrier, settle the round (barrier), and swap the message
+// buffers, until every node has terminated. The worker goroutines live for
+// the whole run and have exited when execute returns.
 func (r *run) execute() (*Result, error) {
 	g := max(len(r.parts), r.workers)
 	r.units = make([]unit, 0, g)
@@ -345,42 +370,38 @@ func (r *run) execute() (*Result, error) {
 				r.alg.Name(), round, err)
 		}
 		r.round = round
-		// The pull phase reads done/frozen state that the step phase writes,
-		// so the two must not overlap.
 		if r.split() {
-			r.phase(true)
+			r.phase()
 		}
-		r.phase(false)
-		if err := r.merge(); err != nil {
+		if err := r.barrier(); err != nil {
 			return nil, err
-		}
-		if r.owner != nil {
-			r.exchange()
 		}
 		r.inbox, r.next = r.next, r.inbox
 	}
 }
 
-// split cuts this round's frontiers into units: every part with live nodes
+// split cuts this round's frontiers into units: every part with awake nodes
 // contributes contiguous chunks of at most ceil(len(active)/workers)
-// entries, so a multi-part run (workers = 1) has one unit per live part.
-// split reports whether any part has a frozen output to pull.
-func (r *run) split() (pull bool) {
+// entries, so a multi-part run (workers = 1) has one unit per part with a
+// non-empty frontier. A part counts the round as active while it has
+// undecided nodes, asleep or not. split reports whether there is a unit.
+func (r *run) split() bool {
 	r.units = r.units[:0]
 	for i := range r.parts {
 		p := &r.parts[i]
+		if p.live > 0 {
+			p.stats.ActiveRounds++
+		}
 		n := len(p.active)
 		if n == 0 {
 			continue
 		}
-		p.stats.ActiveRounds++
-		pull = pull || p.nDone > 0 || p.remoteFrozen != nil
 		chunk := (n + r.workers - 1) / r.workers
 		for lo := 0; lo < n; lo += chunk {
 			r.units = append(r.units, unit{p: p, lo: lo, hi: min(lo+chunk, n)})
 		}
 	}
-	return pull
+	return len(r.units) > 0
 }
 
 // spinWait bounds how long a waiting side of the handoff polls before it
@@ -398,8 +419,8 @@ const spinWait = 50 * time.Microsecond
 // atomic write, so a waiter that parks after that write finds the token,
 // and a stale token costs one extra check.
 type handoff struct {
-	// release[w] is the latest phase released to worker w, seq<<1 | pull,
-	// or stopWord. Worker w is released only for phases with a unit w.
+	// release[w] is the latest phase released to worker w, or stopWord.
+	// Worker w is released only for phases with a unit w.
 	release []atomic.Uint64
 	pending atomic.Int32
 	seq     uint64 // phases released so far; written by the coordinator only
@@ -413,24 +434,20 @@ type handoff struct {
 // stopWord released to a worker tells it to exit; no phase word reaches it.
 const stopWord = ^uint64(0)
 
-// phase runs the pull or the step kernel on every unit and returns once all
-// are done. The coordinator runs unit 0 itself; when there are more units
-// it first releases them to their workers and afterwards waits for them.
-func (r *run) phase(pull bool) {
+// phase runs the step kernel on every unit and returns once all are done.
+// The coordinator runs unit 0 itself; when there are more units it first
+// releases them to their workers and afterwards waits for them.
+func (r *run) phase() {
 	h, n := &r.hand, len(r.units)
 	if n > 1 {
 		h.pending.Store(int32(n - 1))
 		h.seq++
-		word := h.seq << 1
-		if pull {
-			word |= 1
-		}
 		for w := 1; w < n; w++ {
-			h.release[w].Store(word)
+			h.release[w].Store(h.seq)
 			notify(h.wake[w])
 		}
 	}
-	r.kernel(&r.units[0], pull)
+	r.step(&r.units[0])
 	if n > 1 {
 		h.wait(h.wake[0], func() bool { return h.pending.Load() == 0 })
 	}
@@ -450,7 +467,7 @@ func (r *run) worker(w int) {
 		if word == stopWord {
 			return
 		}
-		r.kernel(&r.units[w], word&1 != 0)
+		r.step(&r.units[w])
 		if h.pending.Add(-1) == 0 {
 			notify(h.wake[0])
 		}
@@ -493,26 +510,218 @@ func notify(c chan struct{}) {
 	}
 }
 
-func (r *run) kernel(u *unit, pull bool) {
-	if pull {
-		r.pull(u)
-	} else {
-		r.step(u)
+// step runs one round for the unit's frontier nodes. Each step writes every
+// port of the node, nil included, to next[dst[e]]: the receiver's slot, or,
+// on an edge to another part, the sender's staging slot, which the bus
+// ships at the barrier. The kernel has no multi-part branch; a branch per
+// message measurably slowed the sequential backend. Units hold disjoint
+// nodes, so every next[dst[e]] write has a single writer (the owner of edge
+// slot e). A real message to a listening node is recorded as a wake in the
+// unit's own slot range of woke. A node that stays awake moves to the front
+// of the unit's range; one that terminated or fell asleep stays behind, with
+// idle[v] telling the barrier which.
+func (r *run) step(u *unit) {
+	p, round := u.p, r.round
+	// Locals, not fields: the interface call to Step would make the
+	// compiler reload every field on each iteration.
+	off, nbrs, dst, machines, inbox, next := r.off, r.nbrs, r.dst, r.machines, r.inbox, r.next
+	state, idle, woke := r.state, r.idle, r.woke
+	listeners := r.listening > 0
+	active := p.active
+	var steps, msgs int64
+	from, to := u.lo, u.hi
+	keep := from
+	w := int(off[active[from]])
+	u.woke0 = w
+	for i := from; i < to; i++ {
+		v := active[i]
+		base, end := off[v], off[v+1]
+		send, fin := machines[v].Step(round, inbox[base:end:end])
+		deg := int(end - base)
+		for q := deg; q < len(send); q++ {
+			if send[q] != nil {
+				u.err = fmt.Errorf("%w: algorithm %q node %d port %d degree %d",
+					ErrBadPort, r.alg.Name(), r.origNode(int(v)), q, deg)
+				return
+			}
+		}
+		send = send[:min(len(send), deg)]
+		ports := dst[base:end:end]
+		sent := 0
+		for q, x := range send {
+			next[ports[q]] = x
+			if x == nil {
+				continue
+			}
+			sent++
+			if listeners {
+				if rcv := nbrs[int(base)+q]; state[rcv] == listening && isReal(x) {
+					woke[w] = rcv
+					w++
+				}
+			}
+		}
+		for q := len(send); q < deg; q++ {
+			next[ports[q]] = nil
+		}
+		msgs += int64(sent)
+		if fin {
+			orig := r.origNode(int(v))
+			out := machines[v].Output()
+			if out == nil {
+				u.err = fmt.Errorf("%w: algorithm %q node %d", ErrNilOutput, r.alg.Name(), orig)
+				return
+			}
+			r.res.Rounds[orig] = round
+			r.res.Outputs[orig] = out
+			steps += int64(round) + 1
+			idle[v] = 0
+			continue
+		}
+		if s, ok := machines[v].(Sleeper); ok {
+			k := s.Idle(round)
+			if k > 0 {
+				k = min(k, r.maxRounds-round-1, maxNap)
+			}
+			if k > 0 || k == UntilMessage && sent == 0 {
+				idle[v] = int32(k)
+				continue
+			}
+		}
+		active[i], active[keep] = active[keep], v
+		keep++
 	}
+	u.kept, u.steps, u.msgs, u.woke1 = keep-from, steps, msgs, w
 }
 
-// merge folds the units' counters into the result and the parts, lowest
-// unit first, so the reported error is the one the sequential backend would
-// hit first. Each unit left its survivors at the front of its chunk, so
-// rebuilding a part's frontier is at most one forward copy per chunk and the
-// frontier stays in ascending node order.
-func (r *run) merge() error {
-	write := 0
+// isReal reports whether a non-nil message is a real one, which wakes a
+// listening node: anything but a frozen output.
+func isReal(x any) bool {
+	_, frozen := x.(Terminated)
+	return !frozen
+}
+
+// barrier settles a round once every unit has stepped, on the coordinator.
+// It folds the units' counters into the result and the parts, lowest unit
+// first, so the reported error is the one the sequential backend would hit
+// first; ships the boundary messages (exchange); gives last round's
+// terminations their second frozen write; retires the nodes that left the
+// frontier (leave); compacts the frontiers; and returns the nodes due next
+// round to them (wake).
+func (r *run) barrier() error {
 	for i := range r.units {
 		u := &r.units[i]
 		if u.err != nil {
 			return u.err
 		}
+		r.res.Steps += u.steps
+		r.res.Messages += u.msgs
+		u.p.stats.Steps += u.steps
+	}
+	if len(r.parts) > 1 {
+		r.exchange()
+	}
+	// A node that terminated last round wrote its final messages into the
+	// buffer read this round; from now on every slot of both buffers
+	// carries its frozen output, which the other buffer already holds.
+	for _, v := range r.fins[r.finsFrom:] {
+		if base, end := r.off[v], r.off[v+1]; base < end {
+			f := r.next[r.dst[base]]
+			for e := base; e < end; e++ {
+				r.send(r.inbox, e, f)
+			}
+		}
+	}
+	r.finsFrom = len(r.fins)
+	for i := range r.units {
+		u := &r.units[i]
+		for _, v := range u.p.active[u.lo+u.kept : u.hi] {
+			r.leave(u.p, v)
+		}
+	}
+	r.compact()
+	r.wake()
+	return nil
+}
+
+// send writes x into buf for the sender of edge slot e: into the slot its
+// step writes and, on an edge to another part, into the receiver's slot too
+// (on any other edge the two are the same slot).
+func (r *run) send(buf []any, e int32, x any) {
+	buf[r.dst[e]] = x
+	buf[r.rev[e]] = x
+}
+
+// leave retires node v of part p, which left the frontier this round; idle[v]
+// says why. Its sends of this round are in next, where the bus has already
+// shipped them.
+//   - Terminated: its frozen output fills every port where it sent nil this
+//     round and every port of the other buffer, so its real final messages
+//     are read exactly once. The next barrier overwrites them too.
+//   - Napping for k rounds: its sends stand, so they are copied into the
+//     other buffer and counted once per skipped round, and it is filed in
+//     the calendar.
+//   - Listening: it sent nothing, which the other buffer now says too. If
+//     a real message is already waiting for it, it stays awake.
+func (r *run) leave(p *part, v int32) {
+	base, end := r.off[v], r.off[v+1]
+	switch k := r.idle[v]; k {
+	case 0:
+		r.state[v] = finished
+		r.live--
+		p.live--
+		r.fins = append(r.fins, v)
+		if base == end {
+			return
+		}
+		f := any(Terminated{Output: r.res.Outputs[r.origNode(int(v))]})
+		for e := base; e < end; e++ {
+			if r.next[r.dst[e]] == nil {
+				r.send(r.next, e, f)
+			}
+			r.send(r.inbox, e, f)
+		}
+	case UntilMessage:
+		for _, x := range r.next[base:end] {
+			if x != nil && isReal(x) {
+				r.woken = append(r.woken, v)
+				return
+			}
+		}
+		if r.woke == nil {
+			r.woke = make([]int32, len(r.rev))
+		}
+		r.state[v] = listening
+		r.listening++
+		for e := base; e < end; e++ {
+			r.send(r.inbox, e, nil)
+		}
+	default:
+		r.state[v] = napping
+		var sent, crossed int64
+		for e := base; e < end; e++ {
+			x := r.next[r.dst[e]]
+			r.send(r.inbox, e, x)
+			if x != nil {
+				sent++
+				if r.dst[e] != r.rev[e] {
+					crossed++
+				}
+			}
+		}
+		r.res.Messages += sent * int64(k)
+		p.stats.MessagesCrossed += crossed * int64(k)
+		r.file(v, r.round+int(k)+1)
+	}
+}
+
+// compact rebuilds each frontier from its units' survivors. Each unit left
+// them at the front of its chunk, in order, so rebuilding a part's frontier
+// is at most one forward copy per chunk and it stays ascending.
+func (r *run) compact() {
+	write := 0
+	for i := range r.units {
+		u := &r.units[i]
 		p := u.p
 		if u.lo == 0 {
 			write = 0
@@ -521,113 +730,121 @@ func (r *run) merge() error {
 			copy(p.active[write:], p.active[u.lo:u.lo+u.kept])
 		}
 		write += u.kept
-		fins := u.hi - u.lo - u.kept
-		p.nDone += fins
-		r.live -= fins
-		r.res.Steps += u.steps
-		r.res.Messages += u.msgs
-		p.stats.Steps += u.steps
 		if u.hi == len(p.active) {
 			p.active = p.active[:write]
 		}
 	}
-	return nil
 }
 
-// pull fills the empty inbox slots of the unit's frontier nodes from the
-// frozen outputs of their terminated neighbors: local ones from the run's
-// state, remote ones from the part's remoteFrozen cache. A non-nil slot is
-// a real message (possibly sent in the neighbor's terminating round) and
-// takes precedence. The phase reads only state from completed rounds and
-// writes only the receive windows of the unit's own nodes, so concurrent
-// pulls are race-free.
-func (r *run) pull(u *unit) {
-	p := u.p
-	if p.nDone == 0 && p.remoteFrozen == nil {
-		return
-	}
-	off, nbrs, inbox, done, frozen := r.off, r.nbrs, r.inbox, r.done, r.frozen
-	lo, hi, remote, base := p.lo, p.hi, p.remoteFrozen, off[p.lo]
-	for _, v := range p.active[u.lo:u.hi] {
-		for e := off[v]; e < off[v+1]; e++ {
-			if inbox[e] != nil {
-				continue
-			}
-			if w := nbrs[e]; w >= lo && w < hi {
-				if done[w] {
-					inbox[e] = frozen[w]
-				}
-			} else if remote != nil {
-				inbox[e] = remote[e-base]
-			}
-		}
-	}
-}
-
-// step runs one round for the unit's frontier nodes, compacting survivors
-// to the front of the unit's range. Each node's receive window is consumed
-// and cleared in place, so the swapped buffers need no clearing pass and
-// steady-state rounds allocate nothing. A send is written to next[dst[e]]:
-// the receiver's slot, or, on an edge to another part, the sender's staging
-// slot, which the bus ships at the barrier. The kernel has no multi-part
-// branch; a branch per message measurably slowed the sequential backend.
-// Units hold disjoint nodes, so every next[dst[e]] write has a single
-// writer (the owner of edge slot e).
-func (r *run) step(u *unit) {
-	p, round := u.p, r.round
-	// Locals, not fields: the interface call to Step would make the
-	// compiler reload every field on each iteration.
-	off, dst, machines, inbox, next := r.off, r.dst, r.machines, r.inbox, r.next
-	active := p.active
-	var steps, msgs int64
-	from, to := u.lo, u.hi
-	keep := from
-	for i := from; i < to; i++ {
-		v := int(active[i])
-		base, end := off[v], off[v+1]
-		recv := inbox[base:end:end]
-		send, fin := machines[v].Step(round, recv)
-		steps++
-		deg := int(end - base)
-		for q := deg; q < len(send); q++ {
-			if send[q] != nil {
-				u.err = fmt.Errorf("%w: algorithm %q node %d port %d degree %d",
-					ErrBadPort, r.alg.Name(), r.origNode(v), q, deg)
-				return
-			}
-		}
-		for q := 0; q < len(send) && q < deg; q++ {
-			if send[q] == nil {
-				continue
-			}
-			next[dst[int(base)+q]] = send[q]
-			msgs++
-		}
-		// Clear only after the sends are copied out: a machine may return its
-		// recv slice as send. An indexed loop, because a range clear compiles
-		// to a runtime memclrHasPointers call, which costs more than the
-		// clear itself on a window of a few slots.
-		for i := 0; i < len(recv); i++ {
-			recv[i] = nil
-		}
-		if !fin {
-			active[keep] = int32(v)
-			keep++
+// wake collects the nodes that step again next round — the listeners a
+// real message reached and the nappers whose calendar bucket is due — and
+// merges them into their parts' frontiers in ascending order. When an
+// eighth of the nodes or more wake at once, as every Linial node does in
+// its last round, it rebuilds the frontiers from the node states instead,
+// which costs less than sorting them.
+func (r *run) wake() {
+	for i := range r.units {
+		u := &r.units[i]
+		if u.woke1 == u.woke0 {
 			continue
 		}
-		r.done[v] = true
-		orig := r.origNode(v)
-		r.res.Rounds[orig] = round
-		out := machines[v].Output()
-		if out == nil {
-			u.err = fmt.Errorf("%w: algorithm %q node %d", ErrNilOutput, r.alg.Name(), orig)
-			return
+		for _, v := range r.woke[u.woke0:u.woke1] {
+			if r.state[v] == listening {
+				r.state[v] = awake
+				r.listening--
+				r.woken = append(r.woken, v)
+			}
 		}
-		r.res.Outputs[orig] = out
-		// From the next round on, live neighbors observe the frozen output by
-		// pulling it; a real message sent in the terminating round stays in
-		// its slot and takes precedence.
-		r.frozen[v] = Terminated{Output: out}
 	}
-	u.kept, u.steps, u.msgs = keep-from, steps, msgs
+	if len(r.heads) > 0 {
+		b := (r.round + 1) & (len(r.heads) - 1)
+		for v := r.heads[b]; v >= 0; v = r.idle[v] {
+			r.state[v] = awake
+			r.woken = append(r.woken, v)
+		}
+		r.heads[b] = -1
+	}
+	if len(r.woken) == 0 {
+		return
+	}
+	if 8*len(r.woken) >= len(r.state) {
+		for i := range r.parts {
+			p := &r.parts[i]
+			p.active = p.active[:0]
+			for v := p.lo; v < p.hi; v++ {
+				if r.state[v] == awake {
+					p.active = append(p.active, v)
+				}
+			}
+		}
+		r.woken = r.woken[:0]
+		return
+	}
+	slices.Sort(r.woken)
+	w := r.woken
+	for i := range r.parts {
+		p := &r.parts[i]
+		j := 0
+		for j < len(w) && w[j] < p.hi {
+			j++
+		}
+		if j > 0 {
+			p.active = mergeInto(p.active, w[:j])
+			w = w[j:]
+		}
+	}
+	r.woken = r.woken[:0]
+}
+
+// mergeInto merges the ascending nodes add into the ascending frontier
+// active, which has the capacity for them, from the back, and returns the
+// grown frontier.
+func mergeInto(active, add []int32) []int32 {
+	i, j := len(active)-1, len(add)-1
+	out := active[:len(active)+len(add)]
+	for k := len(out) - 1; j >= 0; k-- {
+		if i >= 0 && active[i] > add[j] {
+			out[k] = active[i]
+			i--
+		} else {
+			out[k] = add[j]
+			j--
+		}
+	}
+	return out
+}
+
+// file puts napping node v in the calendar bucket of round at, growing the
+// ring when at lies beyond it.
+func (r *run) file(v int32, at int) {
+	if at-r.round > len(r.heads) {
+		r.regrow(at - r.round)
+	}
+	b := at & (len(r.heads) - 1)
+	r.idle[v], r.heads[b] = r.heads[b], v
+}
+
+// regrow replaces the calendar ring with one of at least span buckets. Old
+// bucket b holds the one pending round t in (round, round+len] with
+// t ≡ b, so its nodes move to bucket t of the new ring.
+func (r *run) regrow(span int) {
+	size := 16
+	for size < span {
+		size <<= 1
+	}
+	heads := make([]int32, size)
+	for b := range heads {
+		heads[b] = -1
+	}
+	old := len(r.heads)
+	for b, v := range r.heads {
+		t := r.round + 1 + (b-r.round-1)&(old-1)
+		for v >= 0 {
+			next := r.idle[v]
+			nb := t & (size - 1)
+			r.idle[v], heads[nb] = heads[nb], v
+			v = next
+		}
+	}
+	r.heads = heads
 }

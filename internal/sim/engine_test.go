@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,6 +44,19 @@ func (m *tickMachine) Step(round int, recv []any) ([]any, bool) {
 
 func (m *tickMachine) Output() any { return tickOut }
 
+// napTickAlg is tickAlg whose machines report their idle steps: every step
+// after round 0 but the last sends what round 0 sent, so each node naps
+// from round 1 until its last round.
+type napTickAlg struct{ tickAlg }
+
+func (a napTickAlg) NewMachine(info NodeInfo) Machine {
+	return &napTickMachine{tickMachine{rounds: a.rounds, send: make([]any, info.Degree)}}
+}
+
+type napTickMachine struct{ tickMachine }
+
+func (m *napTickMachine) Idle(round int) int { return m.rounds - 1 - round }
+
 // forever never terminates; used to exercise cancellation and round limits.
 type forever struct{}
 
@@ -55,7 +69,8 @@ func (foreverMachine) Step(int, []any) ([]any, bool) { return nil, false }
 func (foreverMachine) Output() any                   { return nil }
 
 // echoAlias returns its recv slice as its send slice, which the engine
-// contract permits; guards the inbox clear-after-send ordering.
+// contract permits; guards that a step reads one buffer and writes the
+// other.
 type echoAlias struct{ rounds int }
 
 func (a echoAlias) Name() string { return "echo-alias" }
@@ -189,10 +204,11 @@ func TestEngineInputLengthValidation(t *testing.T) {
 
 // TestEngineSteadyStateAllocs asserts the hot-loop allocation fix on every
 // backend: after setup, extra rounds must not allocate (message buffers are
-// reused via clear-and-swap, the boxed Terminated value is cached per node,
-// and the round's units and the shards' outboxes keep their backing
-// arrays). The assertion compares whole-run allocations of a short and a
-// long run on the same instance; the difference is the per-round churn.
+// reused via swap, the boxed Terminated value is made once per node, the
+// round's units keep their backing arrays, and the sleep bookkeeping lives
+// in per-run arrays), whether the nodes step every round or nap through
+// them. The assertion compares whole-run allocations of a short and a long
+// run on the same instance; the difference is the per-round churn.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const n, shortR, longR = 256, 8, 264
 	tr := mustPath(t, n)
@@ -202,11 +218,17 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		"par2":            {WithParallelism(2)},
 		"shards2-range":   {WithShards(2), WithShardLayout(LayoutRange)},
 		"shards3-subtree": {WithShards(3), WithShardLayout(LayoutSubtree)},
+		"seq-napping":     nil,
+		"shards2-napping": {WithShards(2)},
 	} {
 		eng := NewEngine(append([]Option{WithIDs(ids)}, opts...)...)
 		runRounds := func(rounds int) func() {
+			var alg Algorithm = tickAlg{rounds: rounds}
+			if strings.HasSuffix(name, "-napping") {
+				alg = napTickAlg{tickAlg{rounds: rounds}}
+			}
 			return func() {
-				if _, err := eng.Run(tr, tickAlg{rounds: rounds}); err != nil {
+				if _, err := eng.Run(tr, alg); err != nil {
 					t.Fatal(err)
 				}
 			}

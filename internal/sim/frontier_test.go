@@ -25,10 +25,13 @@ import (
 // fullSweepRun is the reference oracle: a Θ(n) -per-round engine that steps
 // every non-done node in index order and pushes frozen outputs into empty
 // next-round slots after each round, mirroring the pre-frontier engine. It
-// counts Steps exactly like the real backends (one per Machine.Step call)
-// and applies the fixed round-limit rule (an algorithm needing exactly
-// maxRounds executed rounds succeeds; maxRounds+1 fails).
-func fullSweepRun(t *graph.Tree, alg Algorithm, ids []uint64, inputs []any, maxRounds int) (*Result, error) {
+// never skips a step, so a Sleeper's idle steps run too. It counts Steps
+// exactly like the real backends (one per round a node is undecided) and
+// applies the fixed round-limit rule (an algorithm needing exactly
+// maxRounds executed rounds succeeds; maxRounds+1 fails). With a non-nil
+// owner (owner[v] = shard of construction node v) it also reports the
+// ShardStats a sharded run of that partition must report.
+func fullSweepRun(t *graph.Tree, alg Algorithm, ids []uint64, inputs []any, maxRounds int, owner []int32) (*Result, error) {
 	n := t.N()
 	machines := make([]Machine, n)
 	done := make([]bool, n)
@@ -57,6 +60,24 @@ func fullSweepRun(t *graph.Tree, alg Algorithm, ids []uint64, inputs []any, maxR
 		}
 	}
 	res := &Result{Rounds: make([]int, n), Outputs: make([]any, n)}
+	if owner != nil {
+		k := 0
+		for _, o := range owner {
+			k = max(k, int(o)+1)
+		}
+		res.Shards = make([]ShardStats, k)
+		for i := range res.Shards {
+			res.Shards[i].Shard = i
+		}
+		for v := 0; v < n; v++ {
+			res.Shards[owner[v]].Nodes++
+			for _, u := range t.Neighbors(v) {
+				if owner[u] != owner[v] {
+					res.Shards[owner[v]].BoundaryEdges++
+				}
+			}
+		}
+	}
 	remaining := n
 	for round := 0; ; round++ {
 		if remaining == 0 {
@@ -66,16 +87,33 @@ func fullSweepRun(t *graph.Tree, alg Algorithm, ids []uint64, inputs []any, maxR
 		if round >= maxRounds {
 			return nil, fmt.Errorf("%w: oracle limit=%d", ErrRoundLimit, maxRounds)
 		}
+		if owner != nil {
+			for i := range res.Shards {
+				for v := 0; v < n; v++ {
+					if owner[v] == int32(i) && !done[v] {
+						res.Shards[i].ActiveRounds++
+						break
+					}
+				}
+			}
+		}
 		for v := 0; v < n; v++ {
 			if done[v] {
 				continue
 			}
 			send, fin := machines[v].Step(round, inbox[v])
 			res.Steps++
+			if owner != nil {
+				res.Shards[owner[v]].Steps++
+			}
 			for p := 0; p < len(send) && p < t.Degree(v); p++ {
 				if send[p] != nil {
-					next[t.Neighbors(v)[p]][portBack[v][p]] = send[p]
+					u := t.Neighbors(v)[p]
+					next[u][portBack[v][p]] = send[p]
 					res.Messages++
+					if owner != nil && owner[u] != owner[v] {
+						res.Shards[owner[v]].MessagesCrossed++
+					}
 				}
 			}
 			clearAny(inbox[v])
@@ -214,7 +252,7 @@ func frontierShapes(t *testing.T) map[string]struct {
 func TestFrontierMatchesFullSweepOracle(t *testing.T) {
 	for name, shape := range frontierShapes(t) {
 		ids := DefaultIDs(shape.tree.N(), 11)
-		want, err := fullSweepRun(shape.tree, probeAlg{}, ids, shape.deadlines, 4*shape.tree.N()+64)
+		want, err := fullSweepRun(shape.tree, probeAlg{}, ids, shape.deadlines, 4*shape.tree.N()+64, nil)
 		if err != nil {
 			t.Fatalf("%s oracle: %v", name, err)
 		}

@@ -2,17 +2,18 @@ package sim
 
 // The sharded backend: WithShards(k) runs one simulation as k parts, each a
 // contiguous node range with its own machines, frontier, and message slots,
-// stepped by the same pull and step kernels as the unsharded backends. A
-// message from a node to a neighbor in the same part is written directly
-// into the neighbor's receive slot; a message to a node of another part is
-// written into a staging slot of the sending part and delivered by the bus
-// at the round barrier.
+// stepped by the same step kernel as the unsharded backends. A message from
+// a node to a neighbor in the same part is written directly into the
+// neighbor's receive slot; a message to a node of another part is written
+// into a staging slot of the sending part and delivered by the bus at the
+// round barrier.
 //
-// Frozen outputs of terminated nodes reach still-active local nodes by pull.
-// Frozen outputs of terminated boundary nodes cross the bus exactly once, as
-// a fill that the receiving part caches in remoteFrozen by local slot;
-// every later round the pull phase serves it from the cache at zero bus
-// cost — the same zero-cost convention the unsharded backends implement.
+// The bus ships only what the senders that stepped this round wrote. What
+// a sleeping or terminated boundary node shows its remote neighbors — its
+// standing sends, its frozen output — the barrier writes into the receiver's
+// slot in both buffers on the sender's behalf, once, when the node falls
+// asleep or terminates; it then stays there at zero bus cost until the node
+// steps again, which is the same convention the unsharded backends follow.
 //
 // Which nodes a part owns is the engine's shard layout (WithShardLayout):
 // the range layout shards the construction numbering directly, while the
@@ -23,9 +24,8 @@ package sim
 // invisible in everything but Result.Shards.
 //
 // Determinism: every receive slot has exactly one writer (the neighbor
-// behind the reverse edge, or the bus acting for it), and the pull phase
-// only fills slots that round's writers left empty, so delivery order never
-// affects what a machine observes, and Rounds, Outputs, TotalRounds,
+// behind the reverse edge, or the barrier acting for it), so delivery order
+// never affects what a machine observes, and Rounds, Outputs, TotalRounds,
 // Messages, and Steps are bit-identical to the sequential backend at every
 // shard count. The bus is the single seam through which a part learns
 // anything about other parts' nodes, which is what makes it the attachment
@@ -47,16 +47,16 @@ type ShardStats struct {
 	// BoundaryEdges counts edges with exactly one endpoint in this shard.
 	BoundaryEdges int `json:"boundary_edges"`
 	// MessagesCrossed counts real (non-nil) messages sent by this shard's
-	// nodes to nodes of other shards. Frozen-output fills cross the bus once
-	// per (terminated boundary node, cross edge) and are not counted, in
-	// keeping with the zero-message-cost redelivery convention.
+	// nodes to nodes of other shards, a sleeping node's standing sends once
+	// per round they stand. Frozen outputs of terminated nodes are written
+	// across once and are not counted, in keeping with the zero-message-cost
+	// redelivery convention.
 	MessagesCrossed int64 `json:"messages_crossed"`
 	// ActiveRounds counts rounds in which the shard still hosted at least
-	// one undecided node.
+	// one undecided node, asleep or not.
 	ActiveRounds int `json:"active_rounds"`
-	// Steps counts the Machine.Step invocations the shard performed: the
-	// shard's share of Result.Steps, and — frontier scheduling — the work it
-	// actually did.
+	// Steps is the shard's share of Result.Steps: Σ (T_v+1) over the
+	// shard's nodes, counting the idle steps the engine skipped.
 	Steps int64 `json:"steps"`
 }
 
@@ -64,56 +64,44 @@ type ShardStats struct {
 // lies in another part gets a staging slot past the 2M receive slots, and
 // dst[e] points there instead of at the receiver's slot rev[e]: the step
 // kernel writes a cross-part send into its own part's staging slot without
-// a branch, and the bus ships it at the barrier. stage lists each part's
-// cross-part slots, which also count its boundary edges, and returns the
-// number of staging slots.
+// a branch, and the bus ships it at the barrier. stage counts each part's
+// boundary edges and returns the number of staging slots.
 func (r *run) stage() int {
 	r.dst = slices.Clone(r.rev)
-	var cross []int32
+	staged := 0
 	for i := range r.parts {
 		p := &r.parts[i]
 		for e := r.off[p.lo]; e < r.off[p.hi]; e++ {
 			if w := r.nbrs[e]; w < p.lo || w >= p.hi {
-				r.dst[e] = int32(len(r.rev) + len(cross))
-				cross = append(cross, e)
+				r.dst[e] = int32(len(r.rev) + staged)
+				staged++
 				p.stats.BoundaryEdges++
 			}
 		}
-	}
-	staged := len(cross)
-	for i := range r.parts {
-		p := &r.parts[i]
-		p.cross, cross = cross[:p.stats.BoundaryEdges], cross[p.stats.BoundaryEdges:]
 	}
 	return staged
 }
 
 // exchange is the in-memory bus, run by the coordinator at the round
-// barrier. For every cross-part edge it moves this round's message, if
-// any, from the sender's staging slot into the receiver's slot, and once
-// the sender has terminated it delivers the sender's frozen output, once,
-// as a fill into the receiving part's remoteFrozen cache, from which that
-// part's pull phase serves it. A real message — including one sent in the
-// terminating round — takes precedence, because pull only fills empty
-// slots. Delivery order is immaterial: each receive slot has a single
-// writer, and fills only populate the cache.
+// barrier, before the nodes that left the frontier are retired (a listening
+// node checks its inbox then). For every cross-part edge of a node that
+// stepped this round it moves the message the node wrote, nil included,
+// from the staging slot into the receiver's slot, and counts a real one.
+// Edges of sleeping and terminated senders already hold what they show in
+// both buffers. The walk costs at most what the kernel spent writing those
+// nodes' ports. Delivery order is immaterial: each receive slot has a
+// single writer.
 func (r *run) exchange() {
-	for i := range r.parts {
-		src := &r.parts[i]
-		for _, e := range src.cross {
-			to := r.rev[e]
-			if s := r.dst[e]; r.next[s] != nil {
-				r.next[to], r.next[s] = r.next[s], nil
-				src.stats.MessagesCrossed++
-			}
-			if u := r.nbrs[to]; r.done[u] {
-				rcv := &r.parts[r.owner[r.nbrs[e]]]
-				base := r.off[rcv.lo]
-				if rcv.remoteFrozen == nil {
-					rcv.remoteFrozen = make([]any, r.off[rcv.hi]-base)
-				}
-				if rcv.remoteFrozen[to-base] == nil {
-					rcv.remoteFrozen[to-base] = r.frozen[u]
+	for i := range r.units {
+		u := &r.units[i]
+		for _, v := range u.p.active[u.lo:u.hi] {
+			for e := r.off[v]; e < r.off[v+1]; e++ {
+				if s := r.dst[e]; s != r.rev[e] {
+					x := r.next[s]
+					r.next[r.rev[e]] = x
+					if x != nil {
+						u.p.stats.MessagesCrossed++
+					}
 				}
 			}
 		}

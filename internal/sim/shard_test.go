@@ -55,7 +55,7 @@ func shardShapes(t *testing.T) map[string]*graph.Tree {
 // combination must reproduce the sequential Rounds, Outputs, TotalRounds,
 // and Messages exactly. maxIDAlg exercises the frozen-output mirror
 // (terminated boundary nodes keep informing remote neighbors); echoAlias
-// exercises the inbox clear-after-queue ordering across the bus; the subtree
+// forwards what it received across the bus; the subtree
 // layout additionally exercises the permuted execution path end to end
 // (results must come back in construction numbering).
 func TestShardedEquivalence(t *testing.T) {

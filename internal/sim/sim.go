@@ -20,8 +20,8 @@
 //
 // Executions run through an Engine configured by functional options
 // (NewEngine, WithIDs, WithInputs, WithMaxRounds, WithContext,
-// WithParallelism, WithShards). Three backends share one pull kernel, one
-// step kernel, and one round loop:
+// WithParallelism, WithShards). Three backends share one step kernel and
+// one round loop:
 //
 //   - sequential: one part over all nodes, stepped inline in index order;
 //   - parallel (WithParallelism): the same part, with each round's
@@ -39,26 +39,30 @@
 // that waits polls for a few tens of µs, when the run has no more units
 // than GOMAXPROCS, before it parks on a wake channel.
 //
-// All three produce bit-identical Rounds, Outputs, TotalRounds, and
-// Messages for the same IDs and inputs; sharded runs additionally report
+// All three produce bit-identical Rounds, Outputs, TotalRounds, Messages,
+// and Steps for the same IDs and inputs; sharded runs additionally report
 // per-shard statistics in Result.Shards. Determinism rests on a single
-// invariant: within a round, the receive slot of a directed edge has
-// exactly one writer.
+// invariant: every message slot, the receive slot of a directed edge, has
+// exactly one writer, its sender (or the round barrier acting for it).
 //
-// All backends keep execution state in struct-of-arrays form: termination
-// flags, frozen outputs, and message buffers are flat arrays indexed by
-// node or by directed-edge slot through the tree's CSR offsets
-// (graph.Tree.Offsets), so stepping a round is a linear sweep over
-// contiguous memory rather than a pointer chase through per-node objects.
+// All backends keep execution state in struct-of-arrays form: node states
+// and message buffers are flat arrays indexed by node or by directed-edge
+// slot through the tree's CSR offsets (graph.Tree.Offsets), so stepping a
+// round is a linear sweep over contiguous memory rather than a pointer
+// chase through per-node objects.
 //
 // All backends schedule rounds over the active frontier: a compact list of
-// the not-yet-terminated nodes, compacted in place as nodes terminate, so a
-// round costs Θ(frontier size) rather than Θ(n). Frozen outputs reach active
-// nodes by pull (each active node fills its empty inbox slots from
-// terminated neighbors before stepping) instead of push, so terminated nodes
-// cost nothing at all — per-round work is proportional to exactly the
-// node-averaged quantity the paper measures. Result.Steps records the total
-// machine-step work.
+// the nodes that step this round, kept in ascending order. A node leaves it
+// when it terminates, and also while it sleeps: a Machine that is also a
+// Sleeper reports the steps ahead of it that would do nothing, and the
+// engine skips them while still counting them. Slots are owned by their
+// senders: a step writes every one of its ports, and the round barrier
+// writes a sleeper's standing sends and a terminated node's frozen output
+// into both message buffers, so a node that wakes finds exactly what its
+// neighbors sent the round before, and terminated nodes cost nothing at
+// all. Per-round work therefore follows the steps that do something, not
+// the nodes that are undecided. Result.Steps still reports the paper's
+// measure of work, Σ_v (T_v+1): a node is charged for every round it waits.
 package sim
 
 import (
@@ -102,12 +106,42 @@ type Machine interface {
 	// machine's next Step, so a machine may return the same send slice every
 	// round and overwrite its entries once Step has returned (whatever a sent
 	// value points to must not change: receivers hold it). recv belongs to
-	// the engine: it is cleared after the step and reused, so a machine must
-	// not retain it (or any subslice) past the call.
+	// the engine and is read-only: its slots belong to the senders and may
+	// be read again in a later round, so a machine must not write into it
+	// or retain it (or any subslice) past the call. A machine may return
+	// recv itself as send.
 	Step(round int, recv []any) (send []any, done bool)
 	// Output returns the node's final output; called only after termination.
 	Output() any
 }
+
+// Sleeper is implemented by a Machine that can tell when its next steps are
+// idle. The engine calls Idle after every Step that did not terminate and
+// skips the idle steps, while counting them in Steps and their sends in
+// Messages, so a sleeping node costs nothing per round. Idle returns one of:
+//
+//   - k > 0: the steps of rounds round+1 … round+k would each return this
+//     step's send values, ignore recv and not terminate. The engine may
+//     still run some of them; a k that reaches past its round limit is cut
+//     short.
+//   - UntilMessage, honoured only after a step that sent nothing: the
+//     machine's steps are idle (they send nothing and do not terminate)
+//     until one receives a real message, a non-nil value other than
+//     Terminated. A timed sleeper's standing sends count as real messages
+//     in every round they stand.
+//   - anything else: no step ahead is known to be idle.
+//
+// Step must give the same results whether or not its idle steps ran: it
+// knows the round number, so it can catch up whatever a skipped step would
+// have counted. An engine that steps every node in every round therefore
+// reproduces a sleeping engine's results exactly.
+type Sleeper interface {
+	Idle(round int) int
+}
+
+// UntilMessage is the Idle result of a machine whose steps are idle until
+// one receives a real message.
+const UntilMessage = -1
 
 // Algorithm constructs the state machine for one node.
 type Algorithm interface {
@@ -168,12 +202,13 @@ type Result struct {
 	TotalRounds int
 	// Messages is the total number of non-nil messages delivered.
 	Messages int64
-	// Steps is the total number of Machine.Step invocations across the run:
-	// node v steps in rounds 0..T_v, so Steps = SumRounds() + n. It is the
-	// work the active-frontier scheduler actually performs — Θ(Σ_v T_v)
-	// machine steps rather than the Θ(n · TotalRounds) sweep a full-range
-	// scheduler would pay — and, like every other Result field, it is
-	// bit-identical across the sequential, parallel, and sharded backends.
+	// Steps is the work the paper charges, Σ_v (T_v+1) = SumRounds() + n:
+	// node v steps in rounds 0..T_v, counted whether the engine ran the
+	// step or skipped it as idle (see Sleeper). A frontier scheduler pays
+	// Θ(Σ_v T_v) steps rather than the Θ(n · TotalRounds) sweep of a
+	// full-range scheduler, and skipping idle steps pays less still; like
+	// every other Result field, Steps is bit-identical across the
+	// sequential, parallel, and sharded backends.
 	Steps int64
 	// Shards holds per-shard execution statistics when the run used the
 	// sharded backend (WithShards); nil otherwise. Rounds, Outputs,
