@@ -17,8 +17,9 @@ type LinialAlgorithm struct {
 }
 
 var (
-	_ sim.Algorithm = LinialAlgorithm{}
-	_ sim.Sleeper   = (*linialMachine)(nil)
+	_ sim.Algorithm   = LinialAlgorithm{}
+	_ sim.SlabBuilder = LinialAlgorithm{}
+	_ sim.Sleeper     = (*linialMachine)(nil)
 )
 
 // Name implements sim.Algorithm.
@@ -26,12 +27,36 @@ func (a LinialAlgorithm) Name() string { return "linial-coloring" }
 
 // NewMachine implements sim.Algorithm.
 func (a LinialAlgorithm) NewMachine(info sim.NodeInfo) sim.Machine {
-	m := &linialMachine{send: make([]any, info.Degree), sent: -1}
-	if err := m.reducer.init(info.ID, a.Delta, IDSpace63); err != nil {
-		// Construction can only fail on delta < 1, a static misuse.
+	m := new(linialMachine)
+	m.init(info, a.schedule(), make([]any, info.Degree))
+	return m
+}
+
+// NewMachines implements sim.SlabBuilder: the run's machines share one
+// array of machines, one of send slots and one schedule lookup.
+func (a LinialAlgorithm) NewMachines(info func(v int) sim.NodeInfo, out []sim.Machine) {
+	s := a.schedule()
+	ports := 0
+	for v := range out {
+		ports += info(v).Degree
+	}
+	ms, sends := make([]linialMachine, len(out)), make([]any, ports)
+	for v := range ms {
+		i := info(v)
+		ms[v].init(i, s, sends[:i.Degree:i.Degree])
+		sends = sends[i.Degree:]
+		out[v] = &ms[v]
+	}
+}
+
+// schedule returns the palette schedule every machine of a run shares.
+func (a LinialAlgorithm) schedule() *sharedSchedule {
+	s, err := scheduleFor(a.Delta, IDSpace63)
+	if err != nil {
+		// It can only fail on delta < 1, a static misuse.
 		panic(err)
 	}
-	return m
+	return s
 }
 
 type linialMachine struct {
@@ -41,6 +66,13 @@ type linialMachine struct {
 	// fill; sent starts at -1, which no color of a 63-bit ID ever is.
 	send []any
 	sent int64
+}
+
+// init seeds m for the node described by info, with send as its send
+// buffer (one slot per port).
+func (m *linialMachine) init(info sim.NodeInfo, s *sharedSchedule, send []any) {
+	m.reducer.seed(info.ID, s)
+	m.send, m.sent = send, -1
 }
 
 // colorMsg carries a node's current color.
@@ -105,8 +137,9 @@ func (m *linialMachine) Idle(int) int { return m.reducer.idleRounds() }
 type TwoColorPathAlgorithm struct{}
 
 var (
-	_ sim.Algorithm = TwoColorPathAlgorithm{}
-	_ sim.Sleeper   = (*twoColorMachine)(nil)
+	_ sim.Algorithm   = TwoColorPathAlgorithm{}
+	_ sim.SlabBuilder = TwoColorPathAlgorithm{}
+	_ sim.Sleeper     = (*twoColorMachine)(nil)
 )
 
 // Name implements sim.Algorithm.
@@ -115,6 +148,16 @@ func (TwoColorPathAlgorithm) Name() string { return "two-color-path" }
 // NewMachine implements sim.Algorithm.
 func (TwoColorPathAlgorithm) NewMachine(info sim.NodeInfo) sim.Machine {
 	return &twoColorMachine{info: info}
+}
+
+// NewMachines implements sim.SlabBuilder with one array of machines; a
+// machine's initial state is its info and zeros, as in NewMachine.
+func (TwoColorPathAlgorithm) NewMachines(info func(v int) sim.NodeInfo, out []sim.Machine) {
+	ms := make([]twoColorMachine, len(out))
+	for v := range ms {
+		ms[v].info = info(v)
+		out[v] = &ms[v]
+	}
 }
 
 // endpointMsg carries an endpoint's ID and the hop distance travelled so

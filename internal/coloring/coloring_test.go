@@ -302,9 +302,12 @@ func TestReducerRejectsImproperInput(t *testing.T) {
 // engine buffers included. Both machines run for many rounds per node
 // (about 120 for Linial at Δ = 4, about 384 steps per node for the
 // two-coloring), so a kernel that allocated once per round, or once per
-// port, would exceed the bound many times over.
+// port, would exceed the bound many times over. Both algorithms build
+// their machines in one slab, and a Linial run's nodes all terminate in its
+// last round, which writes no frozen output: what remains per node is the
+// boxed color of round 0 for Linial (1.0 measured), and for the
+// two-coloring its two endpoint messages and its frozen output (3.0).
 func TestNodeKernelAllocs(t *testing.T) {
-	const perNode = 16
 	gw, err := graph.BuildGaltonWatson(2000, 3, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -314,12 +317,13 @@ func TestNodeKernelAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		tr   *graph.Tree
-		alg  sim.Algorithm
+		name    string
+		tr      *graph.Tree
+		alg     sim.Algorithm
+		perNode float64
 	}{
-		{"gw2000-linial", gw, LinialAlgorithm{Delta: gw.MaxDegree()}},
-		{"path512-2color", path, TwoColorPathAlgorithm{}},
+		{"gw2000-linial", gw, LinialAlgorithm{Delta: gw.MaxDegree()}, 2},
+		{"path512-2color", path, TwoColorPathAlgorithm{}, 3.1},
 	} {
 		n := tc.tr.N()
 		eng := sim.NewEngine(sim.WithIDs(sim.DefaultIDs(n, 1)))
@@ -329,11 +333,11 @@ func TestNodeKernelAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %d rounds, %.0f steps and %.1f allocations per node",
+		t.Logf("%s: %d rounds, %.0f steps and %.3f allocations per node",
 			tc.name, res.TotalRounds, float64(res.Steps)/float64(n), allocs/float64(n))
-		if allocs > perNode*float64(n) {
-			t.Errorf("%s: %.0f allocations for %d nodes, want at most %d per node",
-				tc.name, allocs, n, perNode)
+		if allocs > tc.perNode*float64(n) {
+			t.Errorf("%s: %.0f allocations for %d nodes, want at most %g per node",
+				tc.name, allocs, n, tc.perNode)
 		}
 	}
 }

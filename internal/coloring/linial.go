@@ -121,6 +121,7 @@ type scheduleKey struct {
 }
 
 type sharedSchedule struct {
+	delta int
 	steps []paletteStep
 	fix   int64
 }
@@ -141,7 +142,7 @@ func scheduleFor(delta int, idSpace float64) (*sharedSchedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, _ := schedules.LoadOrStore(key, &sharedSchedule{steps: steps, fix: fix})
+	s, _ := schedules.LoadOrStore(key, &sharedSchedule{delta: delta, steps: steps, fix: fix})
 	return s.(*sharedSchedule), nil
 }
 
@@ -162,16 +163,20 @@ func (r *Reducer) init(id uint64, delta int, idSpace float64) error {
 	if err != nil {
 		return err
 	}
+	r.seed(id, s)
+	return nil
+}
+
+// seed starts r from the node's identifier on the shared schedule s, so
+// machines that look s up once share it without a lookup each.
+func (r *Reducer) seed(id uint64, s *sharedSchedule) {
 	*r = Reducer{
-		delta:    delta,
+		delta:    s.delta,
 		schedule: s.steps,
 		greedyC:  int(s.fix) - 1,
 		color:    int64(id),
+		done:     len(s.steps) == 0 && s.fix <= int64(s.delta)+1,
 	}
-	if len(s.steps) == 0 && s.fix <= int64(delta)+1 {
-		r.done = true
-	}
-	return nil
 }
 
 // Color returns the node's current color. After Done() reports true this is

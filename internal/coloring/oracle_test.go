@@ -770,7 +770,10 @@ func (m *digestMachine) fold(round int, send []any) {
 // machines step every round too, since Step must give the same results
 // whether or not its idle steps ran. Outputs, Rounds, TotalRounds, Messages
 // and Steps must be deeply equal, and so must every node's digest of the
-// (round, node, port, message) sequence it sent. Linial runs on
+// (round, node, port, message) sequence it sent. The digest wrapper builds
+// its machines one NewMachine at a time, so each real algorithm also runs
+// unwrapped on every backend, where the engine builds its machines through
+// NewMachines, and must give the oracle's Result too. Linial runs on
 // Galton-Watson trees with up to 3 and 5 children, ladders, paths and a star
 // with 12 leaves (above the stack scratch); the two-coloring on paths.
 func TestNodeKernelsMatchOracle(t *testing.T) {
@@ -820,13 +823,15 @@ func TestNodeKernelsMatchOracle(t *testing.T) {
 			backends = append(backends, backend{fmt.Sprintf("shard%d-%s", k, l), []sim.Option{sim.WithShards(k), sim.WithShardLayout(l)}, false})
 		}
 	}
+	engine := func(tr *graph.Tree, b backend) *sim.Engine {
+		// The star's schedule (830 rounds) outlasts the default round limit
+		// of a 13-node run.
+		return sim.NewEngine(append([]sim.Option{sim.WithIDs(sim.DefaultIDs(tr.N(), 7)), sim.WithMaxRounds(4*tr.N() + 1000)}, b.opts...)...)
+	}
 	run := func(tr *graph.Tree, alg sim.Algorithm, b backend) (*sim.Result, map[uint64]uint64) {
 		t.Helper()
 		rec := &sendDigests{alg: alg, everyRound: b.everyRound, digests: make(map[uint64]hash.Hash64)}
-		// The star's schedule (830 rounds) outlasts the default round limit
-		// of a 13-node run.
-		opts := append([]sim.Option{sim.WithIDs(sim.DefaultIDs(tr.N(), 7)), sim.WithMaxRounds(4*tr.N() + 1000)}, b.opts...)
-		res, err := sim.NewEngine(opts...).Run(tr, rec)
+		res, err := engine(tr, b).Run(tr, rec)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
@@ -837,9 +842,30 @@ func TestNodeKernelsMatchOracle(t *testing.T) {
 		return res, digests
 	}
 	for _, c := range cases {
+		if _, ok := c.alg.(sim.SlabBuilder); !ok {
+			t.Fatalf("%s: %s is not a sim.SlabBuilder", c.name, c.alg.Name())
+		}
 		for _, b := range backends {
 			got, gotSent := run(c.tr, c.alg, b)
 			want, wantSent := run(c.tr, c.want, b)
+			slab, err := engine(c.tr, b).Run(c.tr, c.alg)
+			if err != nil {
+				t.Fatalf("%s on %s unwrapped: %v", c.name, b.name, err)
+			}
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"Outputs", slab.Outputs, want.Outputs},
+				{"Rounds", slab.Rounds, want.Rounds},
+				{"TotalRounds", slab.TotalRounds, want.TotalRounds},
+				{"Messages", slab.Messages, want.Messages},
+				{"Steps", slab.Steps, want.Steps},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Errorf("%s on %s unwrapped: %s differ from the oracle's", c.name, b.name, f.name)
+				}
+			}
 			for _, f := range []struct {
 				name      string
 				got, want any

@@ -261,10 +261,31 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 // runParams are the query parameters of GET /v1/experiments/{name}.
 var runParams = []string{"preset", "seed", "parallel", "shards", "timeout"}
 
+// maxConcurrency bounds a request's parallel and shards: each simulated run
+// of a request starts up to min(value, n) − 1 goroutines, so one request
+// must not ask for thousands. -1 selects GOMAXPROCS; 0 and 1 run
+// sequentially.
+const maxConcurrency = 64
+
+// checkConcurrency rejects a parallel or shards value outside
+// [-1, maxConcurrency]; the query and the batch body both go through it.
+func checkConcurrency(cfg exp.RunConfig) error {
+	for _, p := range []struct {
+		name string
+		v    int
+	}{{"parallel", cfg.Parallelism}, {"shards", cfg.Shards}} {
+		if p.v < -1 || p.v > maxConcurrency {
+			return fmt.Errorf("%s %d: want a value from -1 (GOMAXPROCS) to %d", p.name, p.v, maxConcurrency)
+		}
+	}
+	return nil
+}
+
 // parseRunConfig reads the shared run parameters (preset, seed, parallel,
 // shards) plus the optional per-request timeout from query values. Any other
 // key is an error, so a misspelt parameter cannot silently run a different
-// computation.
+// computation, and so are parallel and shards outside checkConcurrency's
+// range.
 func parseRunConfig(q url.Values) (exp.RunConfig, time.Duration, error) {
 	var cfg exp.RunConfig
 	for _, k := range slices.Sorted(maps.Keys(q)) {
@@ -293,6 +314,9 @@ func parseRunConfig(q url.Values) (exp.RunConfig, time.Duration, error) {
 			}
 			*p.dst = n
 		}
+	}
+	if err := checkConcurrency(cfg); err != nil {
+		return cfg, 0, err
 	}
 	if v := get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
@@ -563,6 +587,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := exp.RunConfig{Preset: req.Preset, Seed: req.Seed,
 		Parallelism: req.Parallel, Shards: req.Shards}
+	if err := checkConcurrency(cfg); err != nil {
+		s.writeError(w, http.StatusBadRequest, errorEnvelope{Error: err.Error(), Label: "batch"})
+		return
+	}
 
 	var exps []*exp.Experiment
 	if len(req.Experiments) == 0 || (len(req.Experiments) == 1 && req.Experiments[0] == "all") {

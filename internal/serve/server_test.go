@@ -519,6 +519,8 @@ func TestErrorEnvelopeStatusCodes(t *testing.T) {
 		{"unknown preset", "/v1/experiments/survivors?preset=bogus", http.StatusBadRequest, "survivors"},
 		{"bad seed", "/v1/experiments/survivors?seed=banana", http.StatusBadRequest, "survivors"},
 		{"bad shards", "/v1/experiments/survivors?shards=lots", http.StatusBadRequest, "survivors"},
+		{"parallel above the bound", "/v1/experiments/survivors?parallel=100000", http.StatusBadRequest, "survivors"},
+		{"shards below -1", "/v1/experiments/survivors?shards=-2", http.StatusBadRequest, "survivors"},
 		{"bad timeout", "/v1/experiments/survivors?timeout=-3", http.StatusBadRequest, "survivors"},
 		{"unknown parameter", "/v1/experiments/survivors?preset=quick&shard=2", http.StatusBadRequest, "survivors"},
 		{"removed parameter", "/v1/experiments/survivors?preset=quick&shard-layout=subtree", http.StatusBadRequest, "survivors"},
@@ -614,6 +616,33 @@ func TestBatchRejectsUnknownFields(t *testing.T) {
 		}
 		if env := decodeEnvelope(t, raw); env.Label != "batch" || !strings.Contains(env.Error, "unknown field") {
 			t.Fatalf("%s: envelope %+v, want the batch label and the unknown field", body, env)
+		}
+	}
+	if n := srv.computes.Load(); n != 0 {
+		t.Fatalf("%d computes for rejected batches, want 0", n)
+	}
+}
+
+// TestBatchRejectsConcurrencyOutOfRange: a batch body whose parallel or
+// shards lies outside [-1, maxConcurrency] fails with the envelope before
+// anything runs.
+func TestBatchRejectsConcurrencyOutOfRange(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	for _, body := range []string{
+		`{"experiments":["survivors"],"preset":"quick","shards":100000}`,
+		`{"experiments":["survivors"],"preset":"quick","parallel":-2}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (%s)", body, resp.StatusCode, raw)
+		}
+		if env := decodeEnvelope(t, raw); env.Label != "batch" || !strings.Contains(env.Error, "want a value from -1") {
+			t.Fatalf("%s: envelope %+v, want the batch label and the allowed range", body, env)
 		}
 	}
 	if n := srv.computes.Load(); n != 0 {

@@ -35,12 +35,14 @@ import (
 // round barrier (see shard.go). Each round is split into units: contiguous
 // chunks of the single part's frontier under WithParallelism(p), or one unit
 // per part with a non-empty frontier under WithShards(k). The calling
-// goroutine runs unit 0 itself; units 1.. run on goroutines that live for
-// the whole run, with a barrier after the step phase. The barrier is an
-// atomic handoff: an atomic phase counter releases the workers and an atomic
-// pending count reports them done, and a waiting side polls for a few tens
-// of µs, when the run has no more units than GOMAXPROCS, before it parks
-// (see handoff). The LOCAL model's synchronous-round barrier makes this
+// goroutine runs unit 0 itself; units 1.. run on goroutines that live from
+// the first round that releases them to the end of the run, with a barrier
+// after the step phase. A round with fewer than inlineFrontier awake nodes
+// is not released: the calling goroutine runs all of its units. The barrier
+// is an atomic handoff: an atomic phase counter releases the workers and an
+// atomic pending count reports them done, and a waiting side polls for a
+// few tens of µs, when the run has no more units than GOMAXPROCS, before it
+// parks (see handoff). The LOCAL model's synchronous-round barrier makes this
 // semantics-preserving: within a round, node v only reads its own inbox
 // (written during the previous round) and only writes the slots
 // next[u][port-back-to-v], which no other node writes. Rounds, outputs, and
@@ -140,6 +142,16 @@ func NewEngine(opts ...Option) *Engine {
 
 // Run executes alg on t under the engine's configuration.
 func (e *Engine) Run(t *graph.Tree, alg Algorithm) (*Result, error) {
+	r, err := e.newRun(t, alg)
+	if err != nil {
+		return nil, err
+	}
+	return r.execute()
+}
+
+// newRun checks the configuration against t and sets up a run of alg on
+// it: the execution tree and its slots, the machines, and the parts.
+func (e *Engine) newRun(t *graph.Tree, alg Algorithm) (*run, error) {
 	n := t.N()
 	if n == 0 {
 		return nil, graph.ErrEmpty
@@ -185,6 +197,20 @@ func (e *Engine) Run(t *graph.Tree, alg Algorithm) (*Result, error) {
 	r.off, r.nbrs, r.rev = exec.Offsets(), exec.AdjacencyRaw(), reverseSlots(exec)
 	r.dst = r.rev
 	r.machines = make([]Machine, n)
+	info := func(v int) NodeInfo {
+		var input any
+		if inputs != nil {
+			input = inputs[v]
+		}
+		return NodeInfo{ID: ids[v], Degree: int(r.off[v+1] - r.off[v]), N: n, Input: input}
+	}
+	if s, ok := alg.(SlabBuilder); ok {
+		s.NewMachines(info, r.machines)
+	} else {
+		for v := range r.machines {
+			r.machines[v] = alg.NewMachine(info(v))
+		}
+	}
 	r.state = make([]uint8, n)
 	r.idle = make([]int32, n)
 	r.fins = make([]int32, 0, n)
@@ -192,12 +218,7 @@ func (e *Engine) Run(t *graph.Tree, alg Algorithm) (*Result, error) {
 	r.res = &Result{Rounds: make([]int, n), Outputs: make([]any, n)}
 	active := make([]int32, n)
 	for v := range active {
-		var input any
-		if inputs != nil {
-			input = inputs[v]
-		}
 		active[v] = int32(v)
-		r.machines[v] = alg.NewMachine(NodeInfo{ID: ids[v], Degree: exec.Degree(v), N: n, Input: input})
 	}
 	r.parts = make([]part, k)
 	for i := range r.parts {
@@ -213,7 +234,7 @@ func (e *Engine) Run(t *graph.Tree, alg Algorithm) (*Result, error) {
 	}
 	r.inbox = make([]any, slots)
 	r.next = make([]any, slots)
-	return r.execute()
+	return r, nil
 }
 
 // run is the mutable state of one execution, kept in struct-of-arrays form:
@@ -272,11 +293,13 @@ type run struct {
 	finsFrom  int
 	listening int // nodes sleeping until a real message
 
-	// units holds this round's units. The coordinator runs unit 0 and
-	// worker w runs unit w ≥ 1; the coordinator writes units and round
-	// before it releases a phase and reads the units' counters once the
-	// phase's pending count is zero.
+	// units holds this round's units and awake the nodes on their
+	// frontiers. The coordinator runs unit 0, or every unit of a round
+	// stepped inline, and worker w runs unit w ≥ 1; the coordinator writes
+	// units and round before it releases a phase and reads the units'
+	// counters once the phase's pending count is zero.
 	units []unit
+	awake int
 	round int
 	hand  handoff
 }
@@ -309,12 +332,12 @@ type part struct {
 // unit is one round's share of work: the frontier entries p.active[lo:hi).
 // The step kernel moves the nodes that stay awake to the front of that
 // range, in order, leaves the ones that fell asleep or terminated behind
-// them, and reports its counters here. woke[woke0:woke1] lists the
-// listening nodes its sends woke.
+// them, and reports its counters here: fins of them terminated.
+// woke[woke0:woke1] lists the listening nodes its sends woke.
 type unit struct {
 	p            *part
 	lo, hi       int
-	kept         int
+	kept, fins   int
 	steps        int64
 	msgs         int64
 	woke0, woke1 int
@@ -331,25 +354,11 @@ func (r *run) origNode(v int) int {
 
 // execute drives the round loop: split the frontiers into units, step them
 // behind a barrier, settle the round (barrier), and swap the message
-// buffers, until every node has terminated. The worker goroutines live for
-// the whole run and have exited when execute returns.
+// buffers, until every node has terminated. The worker goroutines, if the
+// run started any, have exited when execute returns.
 func (r *run) execute() (*Result, error) {
-	g := max(len(r.parts), r.workers)
-	r.units = make([]unit, 0, g)
-	if g > 1 {
-		h := &r.hand
-		h.spin = g <= runtime.GOMAXPROCS(0)
-		h.release = make([]atomic.Uint64, g)
-		h.wake = make([]chan struct{}, g)
-		for w := range h.wake {
-			h.wake[w] = make(chan struct{}, 1)
-		}
-		h.exited.Add(g - 1)
-		for w := 1; w < g; w++ {
-			go r.worker(w)
-		}
-		defer h.stop()
-	}
+	r.units = make([]unit, 0, max(len(r.parts), r.workers))
+	defer r.hand.stop()
 	for round := 0; ; round++ {
 		if r.live == 0 {
 			r.res.TotalRounds = round
@@ -387,6 +396,7 @@ func (r *run) execute() (*Result, error) {
 // undecided nodes, asleep or not. split reports whether there is a unit.
 func (r *run) split() bool {
 	r.units = r.units[:0]
+	r.awake = 0
 	for i := range r.parts {
 		p := &r.parts[i]
 		if p.live > 0 {
@@ -396,6 +406,7 @@ func (r *run) split() bool {
 		if n == 0 {
 			continue
 		}
+		r.awake += n
 		chunk := (n + r.workers - 1) / r.workers
 		for lo := 0; lo < n; lo += chunk {
 			r.units = append(r.units, unit{p: p, lo: lo, hi: min(lo+chunk, n)})
@@ -403,6 +414,18 @@ func (r *run) split() bool {
 	}
 	return len(r.units) > 0
 }
+
+// inlineFrontier is the frontier size below which the coordinator steps
+// every unit of a round itself instead of handing units to the workers.
+// The units are cut as usual, so the kernel, compact and wake see the same
+// ranges either way. Measured on a 2-CPU Xeon (go1.24.0, par2, median of
+// 15): a Linial run on a Galton-Watson tree, whose reduction rounds step
+// every node, took 22% longer handed off than inline at 256 nodes, broke
+// even at 512 and gained 8% at 1024; a 16-node round of trivial steps cost
+// 0.9 µs more handed off. path2048-2color, whose rounds step 2 to 4 nodes,
+// took 3 to 4 times as long on par2 and shard2 as on seq when every round
+// was handed off, and as long as seq with any threshold from 64 to 4096.
+const inlineFrontier = 256
 
 // spinWait bounds how long a waiting side of the handoff polls before it
 // parks. A dense round of a small tree steps in a few tens of µs, so a
@@ -435,21 +458,44 @@ type handoff struct {
 const stopWord = ^uint64(0)
 
 // phase runs the step kernel on every unit and returns once all are done.
-// The coordinator runs unit 0 itself; when there are more units it first
-// releases them to their workers and afterwards waits for them.
+// A lone unit, or a round with fewer than inlineFrontier awake nodes, is
+// stepped by the coordinator, every unit in order. Otherwise the
+// coordinator releases units 1.. to their workers, starting the workers at
+// the first such phase, runs unit 0 itself and waits for the others.
 func (r *run) phase() {
 	h, n := &r.hand, len(r.units)
-	if n > 1 {
-		h.pending.Store(int32(n - 1))
-		h.seq++
-		for w := 1; w < n; w++ {
-			h.release[w].Store(h.seq)
-			notify(h.wake[w])
+	if n == 1 || r.awake < inlineFrontier {
+		for i := range r.units {
+			r.step(&r.units[i])
 		}
+		return
+	}
+	if h.release == nil {
+		r.start()
+	}
+	h.pending.Store(int32(n - 1))
+	h.seq++
+	for w := 1; w < n; w++ {
+		h.release[w].Store(h.seq)
+		notify(h.wake[w])
 	}
 	r.step(&r.units[0])
-	if n > 1 {
-		h.wait(h.wake[0], func() bool { return h.pending.Load() == 0 })
+	h.wait(h.wake[0], func() bool { return h.pending.Load() == 0 })
+}
+
+// start launches a worker for every unit a round can have beyond the
+// first.
+func (r *run) start() {
+	h, g := &r.hand, cap(r.units)
+	h.spin = g <= runtime.GOMAXPROCS(0)
+	h.release = make([]atomic.Uint64, g)
+	h.wake = make([]chan struct{}, g)
+	for w := range h.wake {
+		h.wake[w] = make(chan struct{}, 1)
+	}
+	h.exited.Add(g - 1)
+	for w := 1; w < g; w++ {
+		go r.worker(w)
 	}
 }
 
@@ -493,7 +539,8 @@ func (h *handoff) wait(wake <-chan struct{}, done func() bool) {
 	}
 }
 
-// stop releases stopWord to every worker and returns once all have exited.
+// stop releases stopWord to every worker and returns once all have exited;
+// without workers it does nothing.
 func (h *handoff) stop() {
 	for w := 1; w < len(h.wake); w++ {
 		h.release[w].Store(stopWord)
@@ -530,7 +577,7 @@ func (r *run) step(u *unit) {
 	active := p.active
 	var steps, msgs int64
 	from, to := u.lo, u.hi
-	keep := from
+	keep, fins := from, 0
 	w := int(off[active[from]])
 	u.woke0 = w
 	for i := from; i < to; i++ {
@@ -576,6 +623,7 @@ func (r *run) step(u *unit) {
 			r.res.Outputs[orig] = out
 			steps += int64(round) + 1
 			idle[v] = 0
+			fins++
 			continue
 		}
 		if s, ok := machines[v].(Sleeper); ok {
@@ -591,7 +639,7 @@ func (r *run) step(u *unit) {
 		active[i], active[keep] = active[keep], v
 		keep++
 	}
-	u.kept, u.steps, u.msgs, u.woke1 = keep-from, steps, msgs, w
+	u.kept, u.fins, u.steps, u.msgs, u.woke1 = keep-from, fins, steps, msgs, w
 }
 
 // isReal reports whether a non-nil message is a real one, which wakes a
@@ -607,8 +655,11 @@ func isReal(x any) bool {
 // first; ships the boundary messages (exchange); gives last round's
 // terminations their second frozen write; retires the nodes that left the
 // frontier (leave); compacts the frontiers; and returns the nodes due next
-// round to them (wake).
+// round to them (wake). In the last round, when the terminations retire
+// every node still undecided, it stops after the exchange: no step reads a
+// slot again, so no frozen output is boxed or written.
 func (r *run) barrier() error {
+	fins := 0
 	for i := range r.units {
 		u := &r.units[i]
 		if u.err != nil {
@@ -617,9 +668,14 @@ func (r *run) barrier() error {
 		r.res.Steps += u.steps
 		r.res.Messages += u.msgs
 		u.p.stats.Steps += u.steps
+		fins += u.fins
 	}
 	if len(r.parts) > 1 {
 		r.exchange()
+	}
+	if fins == r.live {
+		r.live = 0
+		return nil
 	}
 	// A node that terminated last round wrote its final messages into the
 	// buffer read this round; from now on every slot of both buffers

@@ -4,7 +4,9 @@ package sim
 // every phase, and the worker goroutines, which run units 1..: the workers
 // exit on every return path of Run, and results stay bit-identical when a
 // waiting side runs past the spin bound and parks. A run with at most
-// GOMAXPROCS units polls before it parks; a run with more parks at once.
+// GOMAXPROCS units polls before it parks; a run with more parks at once. A
+// round with fewer than inlineFrontier awake nodes is never handed off, so
+// the trees here are large enough that most rounds are.
 
 import (
 	"context"
@@ -15,6 +17,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/graph"
 )
 
 // handoffModes returns the unit counts that exercise each wait of the
@@ -63,12 +67,24 @@ func (m cancelMachine) Step(round int, _ []any) ([]any, bool) {
 
 func (cancelMachine) Output() any { return nil }
 
+// runReleased runs alg on tr as e.Run does and also returns the number of
+// phases the run released to its workers.
+func runReleased(e *Engine, tr *graph.Tree, alg Algorithm) (*Result, uint64, error) {
+	r, err := e.newRun(tr, alg)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := r.execute()
+	return res, r.hand.seq, err
+}
+
 // TestHandoffWorkersExitOnEveryReturn: whatever way Run returns — success,
 // ErrBadPort, ErrNilOutput, ErrRoundLimit or a canceled context — the
-// goroutine count falls back to its value before the run.
+// goroutine count falls back to its value before the run. Every node steps
+// in every round, so every round is handed off.
 func TestHandoffWorkersExitOnEveryReturn(t *testing.T) {
 	modes := handoffModes(t)
-	tr := mustPath(t, 64)
+	tr := mustPath(t, 2*inlineFrontier)
 	returns := []struct {
 		name string
 		want error
@@ -139,13 +155,35 @@ func (m *sleepyMachine) Step(round int, recv []any) ([]any, bool) {
 	return m.Machine.Step(round, recv)
 }
 
+// denseShape is a Galton-Watson tree of 2·inlineFrontier nodes with
+// deadlines spread over 0..18: its first rounds are handed off and its last
+// ones, with under half of the nodes awake, are stepped inline.
+func denseShape(t *testing.T) (*graph.Tree, []any) {
+	t.Helper()
+	tr, err := graph.BuildGaltonWatson(2*inlineFrontier, 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadlines := make([]any, tr.N())
+	for v := range deadlines {
+		deadlines[v] = (v*2654435761 + 13) % 19
+	}
+	return tr, deadlines
+}
+
 // TestHandoffParkedRunsMatchSequential: with sleepers past the spin bound,
 // the parallel and sharded backends of both layouts, at a unit count that
 // polls first and at one that parks at once, reproduce the sequential
-// backend's Rounds, Outputs, TotalRounds, Messages and Steps.
+// backend's Rounds, Outputs, TotalRounds, Messages and Steps, on the
+// frontier shapes, whose rounds are all stepped inline, and on denseShape.
 func TestHandoffParkedRunsMatchSequential(t *testing.T) {
 	modes := handoffModes(t)
 	shapes := frontierShapes(t)
+	dense, deadlines := denseShape(t)
+	shapes["dense"] = struct {
+		tree      *graph.Tree
+		deadlines []any
+	}{dense, deadlines}
 	names := make([]string, 0, len(shapes))
 	for name := range shapes {
 		names = append(names, name)
@@ -169,6 +207,56 @@ func TestHandoffParkedRunsMatchSequential(t *testing.T) {
 					t.Errorf("%s/%s/%s diverges from the sequential backend:\n got %+v\nwant %+v",
 						name, mode, bname, coreResult(got), coreResult(want))
 				}
+			}
+		}
+	}
+}
+
+// TestHandoffTinyRoundsStayInline: a run whose frontier never reaches
+// inlineFrontier nodes hands no phase to a worker on two workers or two
+// shards of either layout, and starts no worker; denseShape, whose first
+// rounds step every node, hands those rounds off and steps its last ones
+// inline. Both reproduce the sequential backend.
+func TestHandoffTinyRoundsStayInline(t *testing.T) {
+	handoffModes(t)
+	tiny := mustPath(t, inlineFrontier-1)
+	tinyDeadlines := make([]any, tiny.N())
+	for v := range tinyDeadlines {
+		tinyDeadlines[v] = v % 23
+	}
+	dense, denseDeadlines := denseShape(t)
+	for _, c := range []struct {
+		name      string
+		tree      *graph.Tree
+		deadlines []any
+		dense     bool
+	}{
+		{"tiny", tiny, tinyDeadlines, false},
+		{"dense", dense, denseDeadlines, true},
+	} {
+		base := []Option{WithIDs(DefaultIDs(c.tree.N(), 5)), WithInputs(c.deadlines)}
+		want, err := NewEngine(base...).Run(c.tree, probeAlg{})
+		if err != nil {
+			t.Fatalf("%s seq: %v", c.name, err)
+		}
+		for bname, opts := range handoffBackends(2) {
+			before := runtime.NumGoroutine()
+			got, released, err := runReleased(NewEngine(append(base, opts...)...), c.tree, probeAlg{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.name, bname, err)
+			}
+			if !reflect.DeepEqual(coreResult(want), coreResult(got)) {
+				t.Errorf("%s/%s diverges from the sequential backend:\n got %+v\nwant %+v",
+					c.name, bname, coreResult(got), coreResult(want))
+			}
+			t.Logf("%s/%s: %d of %d rounds handed off", c.name, bname, released, got.TotalRounds)
+			switch {
+			case !c.dense && released != 0:
+				t.Errorf("%s/%s: %d rounds handed off, want none", c.name, bname, released)
+			case !c.dense && runtime.NumGoroutine() > before:
+				t.Errorf("%s/%s: %d goroutines after the run, %d before", c.name, bname, runtime.NumGoroutine(), before)
+			case c.dense && (released == 0 || released >= uint64(got.TotalRounds)):
+				t.Errorf("%s/%s: %d of %d rounds handed off, want some but not all", c.name, bname, released, got.TotalRounds)
 			}
 		}
 	}

@@ -33,11 +33,20 @@
 //     multi-process executor plugs into).
 //
 // The calling goroutine steps the first chunk or part itself; the others
-// run on goroutines that live for the whole run. The synchronous-round
-// barrier between them is an atomic handoff: an atomic phase counter
-// releases a phase and an atomic pending count reports it done, and a side
-// that waits polls for a few tens of µs, when the run has no more units
-// than GOMAXPROCS, before it parks on a wake channel.
+// run on goroutines that live from the first round that needs them to the
+// end of the run. The synchronous-round barrier between them is an atomic
+// handoff: an atomic phase counter releases a phase and an atomic pending
+// count reports it done, and a side that waits polls for a few tens of µs,
+// when the run has no more units than GOMAXPROCS, before it parks on a wake
+// channel. A round whose whole frontier has fewer than inlineFrontier (256)
+// nodes costs less to step than to hand off, so the calling goroutine steps
+// all of its chunks or parts itself, and a run whose rounds are all that
+// small starts no goroutine.
+//
+// Set-up is paid once per run: an Algorithm that is also a SlabBuilder
+// builds every machine in one call, and in the round whose terminations
+// retire every node still undecided the barrier writes no frozen output,
+// since no step will read one.
 //
 // All three produce bit-identical Rounds, Outputs, TotalRounds, Messages,
 // and Steps for the same IDs and inputs; sharded runs additionally report
@@ -143,13 +152,25 @@ type Sleeper interface {
 // one receives a real message.
 const UntilMessage = -1
 
-// Algorithm constructs the state machine for one node.
+// Algorithm constructs the state machine for one node. An Algorithm that is
+// also a SlabBuilder has the engine build every machine of a run at once.
 type Algorithm interface {
 	// Name identifies the algorithm in traces and errors.
 	Name() string
 	// NewMachine creates the state machine for a node with the given static
 	// info.
 	NewMachine(info NodeInfo) Machine
+}
+
+// SlabBuilder is implemented by an Algorithm that can build all of a run's
+// machines in one call, typically as one array of machine values and one
+// of send buffers instead of a few heap objects per node. Engine.Run calls
+// NewMachines instead of NewMachine when the Algorithm has it: info(v) is
+// node v's static info, and out[v], which it must set for every v, must
+// behave exactly as NewMachine(info(v)) would. A wrapper that embeds the
+// Algorithm interface hides NewMachines, so its own NewMachine still runs.
+type SlabBuilder interface {
+	NewMachines(info func(v int) NodeInfo, out []Machine)
 }
 
 // Terminated is the message the runtime delivers on behalf of a terminated

@@ -240,7 +240,10 @@ func checkAgainstFullSweep(t *testing.T, name string, tr *graph.Tree, alg Algori
 
 // TestSleepersMatchFullSweep runs napAlg on Galton-Watson trees, ladders, a
 // star and paths, every node sleeping at random, against the full sweep,
-// and checks that the engine skipped at least a third of the steps.
+// and checks that the engine skipped at least a third of the steps. The
+// first seed adds a larger Galton-Watson tree, with rounds of inlineFrontier
+// awake nodes or more, which the parallel and sharded backends hand off to
+// their workers.
 func TestSleepersMatchFullSweep(t *testing.T) {
 	var calls, steps int64
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -254,7 +257,13 @@ func TestSleepersMatchFullSweep(t *testing.T) {
 		}
 		star := mustStar(t, 15)
 		path := mustPath(t, 40)
-		for name, tr := range map[string]*graph.Tree{"gw": gw, "ladder": lad, "star": star, "path": path} {
+		trees := map[string]*graph.Tree{"gw": gw, "ladder": lad, "star": star, "path": path}
+		if seed == 1 {
+			if trees["gw-dense"], err = graph.BuildGaltonWatson(3*inlineFrontier, 3, seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, tr := range trees {
 			inputs := napInputs(tr, seed)
 			calls += checkAgainstFullSweep(t, fmt.Sprintf("%s-seed%d", name, seed), tr, napAlg{seed: seed}, DefaultIDs(tr.N(), seed), inputs)
 			res, err := NewEngine(WithIDs(DefaultIDs(tr.N(), seed)), WithInputs(inputs), WithMaxRounds(napRounds)).Run(tr, napAlg{seed: seed})
