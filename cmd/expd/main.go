@@ -65,7 +65,7 @@ func main() {
 		retryAfter = flag.Duration("retry-after", serve.DefaultRetryAfter, "Retry-After hint attached to 429 responses")
 		remote     = flag.String("remote", "", "comma-separated host:port addresses of `experiments worker -listen` acceptors: admitted computations dispatch to this fleet instead of computing in process")
 		remoteCA   = flag.String("remote-ca", "", "verify TLS worker connections against this CA (or self-signed worker certificate) PEM file (requires -remote)")
-		retry      = flag.Bool("worker-retry", false, "retry a crashed remote worker's tasks once on a fresh session before a request fails (with -remote)")
+		retry      = flag.Bool("worker-retry", false, "retry a crashed remote worker's tasks once on a fresh session before a request fails (requires -remote)")
 	)
 	flag.Parse()
 	cfg := serve.Config{
@@ -80,6 +80,10 @@ func main() {
 		if a = strings.TrimSpace(a); a != "" {
 			cfg.Remote = append(cfg.Remote, a)
 		}
+	}
+	if *retry && len(cfg.Remote) == 0 {
+		fmt.Fprintln(os.Stderr, "expd: -worker-retry requires -remote")
+		os.Exit(1)
 	}
 	if *remoteCA != "" {
 		if len(cfg.Remote) == 0 {

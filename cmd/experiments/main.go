@@ -83,10 +83,10 @@ func main() {
 		markdown   = flag.Bool("markdown", false, "emit GitHub-flavored markdown")
 		jobs       = flag.Int("jobs", 1, "number of tasks to run concurrently in process")
 		workers    = flag.Int("workers", 0, "number of worker subprocesses: tasks are dispatched over the NDJSON worker protocol with instance-affinity grouping (0 = in-process; see docs/DISTRIBUTED.md); results are identical at every count")
-		retry      = flag.Bool("worker-retry", false, "retry a crashed worker's tasks once on a fresh worker before failing the batch")
+		retry      = flag.Bool("worker-retry", false, "retry a crashed worker's tasks once on a fresh worker before failing the batch (requires -workers or -remote)")
 		remote     = flag.String("remote", "", "comma-separated host:port addresses of `experiments worker -listen` acceptors: tasks are dispatched over TCP instead of to subprocesses; results are identical to every other backend")
 		remoteCA   = flag.String("remote-ca", "", "verify TLS worker connections against this CA (or self-signed worker certificate) PEM file (requires -remote)")
-		remoteRead = flag.Duration("remote-read-timeout", 0, "max silence on a remote worker connection before its slot fails labeled (0 = unbounded; see docs/DISTRIBUTED.md)")
+		remoteRead = flag.Duration("remote-read-timeout", 0, "max silence on a remote worker connection before its slot fails labeled (0 = unbounded; requires -remote; see docs/DISTRIBUTED.md)")
 		parallel   = flag.Int("parallel", 1, "simulator worker count (-1 = GOMAXPROCS)")
 		shards     = flag.Int("shards", 0, "simulator shard count: partition each simulated tree into contiguous node-range shards (0/1 = unsharded, -1 = GOMAXPROCS); results are identical at every count")
 		seed       = flag.Uint64("seed", 0, "override the experiments' default ID seeds (0 = defaults)")
@@ -147,8 +147,17 @@ func mainE(ctx context.Context, opts options) error {
 		if len(remotes) == 0 {
 			return fmt.Errorf("-remote selected no worker addresses")
 		}
-	} else if opts.remoteCA != "" {
-		return fmt.Errorf("-remote-ca requires -remote")
+	} else {
+		// Without the backend it tunes, a worker option would be silently
+		// ignored.
+		switch {
+		case opts.remoteCA != "":
+			return fmt.Errorf("-remote-ca requires -remote")
+		case opts.remoteRead != 0:
+			return fmt.Errorf("-remote-read-timeout requires -remote")
+		case opts.workerRetry && opts.workers <= 0:
+			return fmt.Errorf("-worker-retry requires -workers or -remote")
+		}
 	}
 	exps, err := selectExperiments(opts.run)
 	if err != nil {

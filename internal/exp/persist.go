@@ -163,6 +163,13 @@ func loadResultFile(file string) ([]*Result, error) {
 	}
 	var many []*Result
 	if err := json.Unmarshal(raw, &many); err == nil {
+		// WriteResults never writes a null entry; one would reach every
+		// caller as a nil *Result.
+		for i, res := range many {
+			if res == nil {
+				return nil, fmt.Errorf("exp: %s: result %d is null", file, i)
+			}
+		}
 		return many, nil
 	}
 	var one Result

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -227,4 +228,42 @@ func TestLoadResultsErrors(t *testing.T) {
 	if _, err := LoadResults(bad); err == nil {
 		t.Fatal("malformed file accepted")
 	}
+}
+
+// FuzzLoadResults: LoadResults reads files from outside the process, so it
+// must reject any input it cannot use with an error, never a panic, and
+// every result it accepts must be one CanonicalJSON renders as a fixed
+// point: loading those bytes back and encoding them again gives the same
+// bytes.
+func FuzzLoadResults(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file := filepath.Join(t.TempDir(), "results.json")
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		results, err := LoadResults(file)
+		if err != nil {
+			return
+		}
+		for i, res := range results {
+			raw, err := CanonicalJSON(res)
+			if err != nil {
+				t.Fatalf("result %d: CanonicalJSON: %v", i, err)
+			}
+			if err := os.WriteFile(file, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			back, err := LoadResults(file)
+			if err != nil || len(back) != 1 {
+				t.Fatalf("result %d: reloading %s gave %d results, error %v", i, raw, len(back), err)
+			}
+			again, err := CanonicalJSON(back[0])
+			if err != nil {
+				t.Fatalf("result %d: CanonicalJSON after reload: %v", i, err)
+			}
+			if !bytes.Equal(raw, again) {
+				t.Fatalf("result %d: canonical bytes are no fixed point:\n%s\nreloaded as\n%s", i, raw, again)
+			}
+		}
+	})
 }

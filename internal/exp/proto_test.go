@@ -253,3 +253,66 @@ func TestMalformedPointRowIsAssembleError(t *testing.T) {
 		}
 	}
 }
+
+// FuzzFrameDecoding: the frame scanner yields exactly the newline-terminated
+// lines of its input, each without one trailing '\r', and never the torn
+// line after the last newline; frameType and decodeSweepPoint take any line
+// without panicking, and a sweep point decodeSweepPoint accepts, bare or as
+// a result frame's output, re-encodes to a fixed point.
+func FuzzFrameDecoding(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want [][]byte
+		lines := bytes.Split(data, []byte("\n"))
+		for _, line := range lines[:len(lines)-1] {
+			want = append(want, bytes.TrimSuffix(line, []byte("\r")))
+		}
+		var got [][]byte
+		sc := newFrameScanner(bytes.NewReader(data))
+		for sc.Scan() {
+			got = append(got, bytes.Clone(sc.Bytes()))
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatalf("scanner: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("scanner yielded %d lines, want %d: %q", len(got), len(want), got)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("line %d is %q, want %q", i, got[i], want[i])
+			}
+		}
+		for _, line := range got {
+			checkSweepPointFixedPoint(t, line)
+			if kind, err := frameType(line); err == nil && kind == FrameResult {
+				var rf ResultFrame
+				if json.Unmarshal(line, &rf) == nil {
+					checkSweepPointFixedPoint(t, rf.Output)
+				}
+			}
+		}
+	})
+}
+
+// checkSweepPointFixedPoint decodes raw as a sweep point and, if that
+// succeeds, requires encoding, decoding and encoding again to repeat the
+// first encoding byte for byte.
+func checkSweepPointFixedPoint(t *testing.T, raw []byte) {
+	t.Helper()
+	p, err := decodeSweepPoint(raw)
+	if err != nil {
+		return
+	}
+	enc, err := encodeSweepPoint(p)
+	if err != nil {
+		t.Fatalf("%q decoded, but re-encoding failed: %v", raw, err)
+	}
+	q, err := decodeSweepPoint(enc)
+	if err != nil {
+		t.Fatalf("%q re-encoded as %s, which does not decode: %v", raw, enc, err)
+	}
+	again, err := encodeSweepPoint(q)
+	if err != nil || !bytes.Equal(enc, again) {
+		t.Fatalf("%q: sweep point is no fixed point: %s, then %s (%v)", raw, enc, again, err)
+	}
+}

@@ -30,9 +30,9 @@ import (
 //
 // All backends also share one step kernel and one round loop. A run is cut
 // into parts — contiguous node ranges, each with its own machines, frontier,
-// and message slots: an unsharded run is one part over [0, n), and
-// WithShards(k) makes k parts that exchange only cross-part messages at the
-// round barrier (see shard.go). Each round is split into units: contiguous
+// and receive slots: an unsharded run is one part over [0, n), and
+// WithShards(k) makes k parts, whose cross-part sends go straight into the
+// receiver's slot (see shard.go). Each round is split into units: contiguous
 // chunks of the single part's frontier under WithParallelism(p), or one unit
 // per part with a non-empty frontier under WithShards(k). The calling
 // goroutine runs unit 0 itself; units 1.. run on goroutines that live from
@@ -91,9 +91,9 @@ func WithContext(ctx context.Context) Option {
 func WithParallelism(n int) Option { return func(e *Engine) { e.parallelism = n } }
 
 // WithShards partitions the tree into k contiguous node-range shards, each
-// with its own machines and message buffers, run as independent per-round
-// executors that exchange only cross-shard boundary messages through an
-// in-memory bus between rounds (see shard.go). 0 and 1 select the unsharded
+// with its own machines, frontier and receive slots, run as independent
+// per-round executors; a send to a node of another shard is written straight
+// into its receive slot (see shard.go). 0 and 1 select the unsharded
 // backends; k < 0 selects GOMAXPROCS shards; k > n is clamped to n (one
 // node per shard). The clamped count always yields exactly min(k, n)
 // non-empty shards — the split is the balanced graph.RangeCuts partition,
@@ -195,7 +195,6 @@ func (e *Engine) newRun(t *graph.Tree, alg Algorithm) (*run, error) {
 		exec, ids, inputs, cuts = r.relabel(t, ids, inputs, k)
 	}
 	r.off, r.nbrs, r.rev = exec.Offsets(), exec.AdjacencyRaw(), reverseSlots(exec)
-	r.dst = r.rev
 	r.machines = make([]Machine, n)
 	info := func(v int) NodeInfo {
 		var input any
@@ -228,12 +227,11 @@ func (e *Engine) newRun(t *graph.Tree, alg Algorithm) (*run, error) {
 		}
 		r.parts[i] = part{lo: lo, hi: hi, active: active[lo:hi:hi], live: int(hi - lo), stats: ShardStats{Shard: i, Nodes: int(hi - lo)}}
 	}
-	slots := len(r.rev)
 	if k > 1 {
-		slots += r.stage()
+		r.countBoundary()
 	}
-	r.inbox = make([]any, slots)
-	r.next = make([]any, slots)
+	r.inbox = make([]any, len(r.rev))
+	r.next = make([]any, len(r.rev))
 	return r, nil
 }
 
@@ -243,9 +241,10 @@ func (e *Engine) newRun(t *graph.Tree, alg Algorithm) (*run, error) {
 // slot — port p of node v is slot off[v]+p, so the receive window of v is
 // the contiguous range inbox[off[v]:off[v+1]] and a round is a linear sweep
 // over contiguous memory. Because the tree is in CSR form, a part's node
-// range [lo, hi) owns the slot range [off[lo], off[hi)): only that part's
-// kernels touch those entries, and only the barrier writes them for another
-// part.
+// range [lo, hi) owns the receive window [off[lo], off[hi)): only that
+// part's kernels read it, and each of its slots is written by the one
+// neighbor behind the reverse edge, in whichever part that lies, or by the
+// barrier acting for it.
 //
 // Under the subtree layout every index here is an *execution* index: the run
 // operates on a relabeled tree in which each part's nodes are contiguous,
@@ -260,9 +259,6 @@ type run struct {
 	off  []int32 // CSR offsets (shared with the tree; read-only)
 	nbrs []int32 // CSR neighbors: nbrs[off[v]+p] is the p-th neighbor of v
 	rev  []int32 // rev[e] = flat slot of the reverse directed edge
-	// dst[e] is the slot a send on edge slot e is written to: rev[e], or,
-	// for an edge between two parts, the sender's staging slot (see stage).
-	dst  []int32
 	orig []int32 // execution index -> construction index; nil = identity
 
 	machines []Machine
@@ -273,7 +269,7 @@ type run struct {
 	// terminated, the rounds it naps, or UntilMessage. While v naps, the
 	// barrier reuses it as the link to the next node of v's calendar bucket.
 	idle  []int32
-	inbox []any // flat receive slots (len 2*M), then the staging slots
+	inbox []any // flat receive slots (len 2*M)
 	next  []any // the same layout, written this round and swapped in next
 	parts []part
 	live  int // nodes not yet terminated, over all parts
@@ -558,20 +554,18 @@ func notify(c chan struct{}) {
 }
 
 // step runs one round for the unit's frontier nodes. Each step writes every
-// port of the node, nil included, to next[dst[e]]: the receiver's slot, or,
-// on an edge to another part, the sender's staging slot, which the bus
-// ships at the barrier. The kernel has no multi-part branch; a branch per
-// message measurably slowed the sequential backend. Units hold disjoint
-// nodes, so every next[dst[e]] write has a single writer (the owner of edge
-// slot e). A real message to a listening node is recorded as a wake in the
-// unit's own slot range of woke. A node that stays awake moves to the front
-// of the unit's range; one that terminated or fell asleep stays behind, with
-// idle[v] telling the barrier which.
+// port of the node, nil included, to next[rev[e]], the receiver's slot,
+// whichever part the receiver lies in; the kernel has no multi-part branch.
+// Units hold disjoint nodes, so every next[rev[e]] write has a single writer
+// (the owner of edge slot e). A real message to a listening node is
+// recorded as a wake in the unit's own slot range of woke. A node that stays
+// awake moves to the front of the unit's range; one that terminated or fell
+// asleep stays behind, with idle[v] telling the barrier which.
 func (r *run) step(u *unit) {
 	p, round := u.p, r.round
 	// Locals, not fields: the interface call to Step would make the
 	// compiler reload every field on each iteration.
-	off, nbrs, dst, machines, inbox, next := r.off, r.nbrs, r.dst, r.machines, r.inbox, r.next
+	off, nbrs, rev, machines, inbox, next := r.off, r.nbrs, r.rev, r.machines, r.inbox, r.next
 	state, idle, woke := r.state, r.idle, r.woke
 	listeners := r.listening > 0
 	active := p.active
@@ -593,7 +587,7 @@ func (r *run) step(u *unit) {
 			}
 		}
 		send = send[:min(len(send), deg)]
-		ports := dst[base:end:end]
+		ports := rev[base:end:end]
 		sent := 0
 		for q, x := range send {
 			next[ports[q]] = x
@@ -652,12 +646,12 @@ func isReal(x any) bool {
 // barrier settles a round once every unit has stepped, on the coordinator.
 // It folds the units' counters into the result and the parts, lowest unit
 // first, so the reported error is the one the sequential backend would hit
-// first; ships the boundary messages (exchange); gives last round's
-// terminations their second frozen write; retires the nodes that left the
-// frontier (leave); compacts the frontiers; and returns the nodes due next
-// round to them (wake). In the last round, when the terminations retire
-// every node still undecided, it stops after the exchange: no step reads a
-// slot again, so no frozen output is boxed or written.
+// first; counts the messages that crossed parts (countCrossed); gives last
+// round's terminations their second frozen write; retires the nodes that
+// left the frontier (leave); compacts the frontiers; and returns the nodes
+// due next round to them (wake). In the last round, when the terminations
+// retire every node still undecided, it stops after the count: no step
+// reads a slot again, so no frozen output is boxed or written.
 func (r *run) barrier() error {
 	fins := 0
 	for i := range r.units {
@@ -671,7 +665,7 @@ func (r *run) barrier() error {
 		fins += u.fins
 	}
 	if len(r.parts) > 1 {
-		r.exchange()
+		r.countCrossed()
 	}
 	if fins == r.live {
 		r.live = 0
@@ -681,10 +675,10 @@ func (r *run) barrier() error {
 	// buffer read this round; from now on every slot of both buffers
 	// carries its frozen output, which the other buffer already holds.
 	for _, v := range r.fins[r.finsFrom:] {
-		if base, end := r.off[v], r.off[v+1]; base < end {
-			f := r.next[r.dst[base]]
-			for e := base; e < end; e++ {
-				r.send(r.inbox, e, f)
+		if slots := r.rev[r.off[v]:r.off[v+1]]; len(slots) > 0 {
+			f := r.next[slots[0]]
+			for _, s := range slots {
+				r.inbox[s] = f
 			}
 		}
 	}
@@ -700,17 +694,8 @@ func (r *run) barrier() error {
 	return nil
 }
 
-// send writes x into buf for the sender of edge slot e: into the slot its
-// step writes and, on an edge to another part, into the receiver's slot too
-// (on any other edge the two are the same slot).
-func (r *run) send(buf []any, e int32, x any) {
-	buf[r.dst[e]] = x
-	buf[r.rev[e]] = x
-}
-
 // leave retires node v of part p, which left the frontier this round; idle[v]
-// says why. Its sends of this round are in next, where the bus has already
-// shipped them.
+// says why. Its sends of this round are in next, in its neighbors' slots.
 //   - Terminated: its frozen output fills every port where it sent nil this
 //     round and every port of the other buffer, so its real final messages
 //     are read exactly once. The next barrier overwrites them too.
@@ -731,11 +716,11 @@ func (r *run) leave(p *part, v int32) {
 			return
 		}
 		f := any(Terminated{Output: r.res.Outputs[r.origNode(int(v))]})
-		for e := base; e < end; e++ {
-			if r.next[r.dst[e]] == nil {
-				r.send(r.next, e, f)
+		for _, s := range r.rev[base:end] {
+			if r.next[s] == nil {
+				r.next[s] = f
 			}
-			r.send(r.inbox, e, f)
+			r.inbox[s] = f
 		}
 	case UntilMessage:
 		for _, x := range r.next[base:end] {
@@ -749,18 +734,18 @@ func (r *run) leave(p *part, v int32) {
 		}
 		r.state[v] = listening
 		r.listening++
-		for e := base; e < end; e++ {
-			r.send(r.inbox, e, nil)
+		for _, s := range r.rev[base:end] {
+			r.inbox[s] = nil
 		}
 	default:
 		r.state[v] = napping
 		var sent, crossed int64
 		for e := base; e < end; e++ {
-			x := r.next[r.dst[e]]
-			r.send(r.inbox, e, x)
+			x := r.next[r.rev[e]]
+			r.inbox[r.rev[e]] = x
 			if x != nil {
 				sent++
-				if r.dst[e] != r.rev[e] {
+				if w := r.nbrs[e]; w < p.lo || w >= p.hi {
 					crossed++
 				}
 			}

@@ -286,7 +286,7 @@ func TestFrontierMatchesFullSweepOracle(t *testing.T) {
 
 // TestFrontierFinalMessagePrecedence re-runs the last-word probe (a
 // terminating node's final real message must beat its frozen output) on the
-// parallel backend; shard_test.go covers the sharded bus.
+// parallel backend; shard_test.go covers the sharded backend.
 func TestFrontierFinalMessagePrecedence(t *testing.T) {
 	tr := mustPath(t, 2)
 	for _, workers := range []int{1, 2, -1} {

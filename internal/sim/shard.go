@@ -1,19 +1,23 @@
 package sim
 
 // The sharded backend: WithShards(k) runs one simulation as k parts, each a
-// contiguous node range with its own machines, frontier, and message slots,
-// stepped by the same step kernel as the unsharded backends. A message from
-// a node to a neighbor in the same part is written directly into the
-// neighbor's receive slot; a message to a node of another part is written
-// into a staging slot of the sending part and delivered by the bus at the
-// round barrier.
+// contiguous node range with its own machines, frontier, and receive slots,
+// stepped by the same step kernel as the unsharded backends. A send is
+// written straight into the receiver's slot, next[rev[e]], whether the
+// receiver lies in the sender's part or in another one: a part's kernel
+// reads only its own nodes' receive slots, and every slot has one writer, so
+// parts share the two message buffers exactly as the parallel backend's
+// units do, and the kernel needs no cross-part branch.
 //
-// The bus ships only what the senders that stepped this round wrote. What
-// a sleeping or terminated boundary node shows its remote neighbors — its
-// standing sends, its frozen output — the barrier writes into the receiver's
-// slot in both buffers on the sender's behalf, once, when the node falls
-// asleep or terminates; it then stays there at zero bus cost until the node
-// steps again, which is the same convention the unsharded backends follow.
+// What crosses parts is counted, not moved. At the round barrier, before
+// any node is retired, countCrossed counts the real messages that the nodes
+// that stepped wrote on their cross-part ports; leave counts a napping
+// node's crossed standing sends once per round they stand. What a sleeping
+// or terminated boundary node shows its remote neighbors — its standing
+// sends, its frozen output — the barrier writes into both buffers on the
+// sender's behalf, once, as for any other neighbor. The per-shard
+// statistics therefore size the traffic a transport between processes
+// would carry; such a transport would stage messages at its own boundary.
 //
 // Which nodes a part owns is the engine's shard layout (WithShardLayout):
 // the range layout shards the construction numbering directly, while the
@@ -24,19 +28,12 @@ package sim
 // invisible in everything but Result.Shards.
 //
 // Determinism: every receive slot has exactly one writer (the neighbor
-// behind the reverse edge, or the barrier acting for it), so delivery order
-// never affects what a machine observes, and Rounds, Outputs, TotalRounds,
-// Messages, and Steps are bit-identical to the sequential backend at every
-// shard count. The bus is the single seam through which a part learns
-// anything about other parts' nodes, which is what makes it the attachment
-// point for a future multi-process executor: replace the in-memory exchange
-// with a network transport and nothing else changes.
+// behind the reverse edge, or the barrier acting for it), so the order in
+// which parts step never affects what a machine observes, and Rounds,
+// Outputs, TotalRounds, Messages, and Steps are bit-identical to the
+// sequential backend at every shard count.
 
-import (
-	"slices"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // ShardStats describes what one shard observed over a sharded run.
 type ShardStats struct {
@@ -60,48 +57,34 @@ type ShardStats struct {
 	Steps int64 `json:"steps"`
 }
 
-// stage prepares a multi-part run's bus. Every edge slot e whose neighbor
-// lies in another part gets a staging slot past the 2M receive slots, and
-// dst[e] points there instead of at the receiver's slot rev[e]: the step
-// kernel writes a cross-part send into its own part's staging slot without
-// a branch, and the bus ships it at the barrier. stage counts each part's
-// boundary edges and returns the number of staging slots.
-func (r *run) stage() int {
-	r.dst = slices.Clone(r.rev)
-	staged := 0
+// countBoundary counts each part's boundary edges: the edge slots of its
+// nodes whose neighbor lies in another part.
+func (r *run) countBoundary() {
 	for i := range r.parts {
 		p := &r.parts[i]
-		for e := r.off[p.lo]; e < r.off[p.hi]; e++ {
-			if w := r.nbrs[e]; w < p.lo || w >= p.hi {
-				r.dst[e] = int32(len(r.rev) + staged)
-				staged++
+		for _, w := range r.nbrs[r.off[p.lo]:r.off[p.hi]] {
+			if w < p.lo || w >= p.hi {
 				p.stats.BoundaryEdges++
 			}
 		}
 	}
-	return staged
 }
 
-// exchange is the in-memory bus, run by the coordinator at the round
-// barrier, before the nodes that left the frontier are retired (a listening
-// node checks its inbox then). For every cross-part edge of a node that
-// stepped this round it moves the message the node wrote, nil included,
-// from the staging slot into the receiver's slot, and counts a real one.
-// Edges of sleeping and terminated senders already hold what they show in
-// both buffers. The walk costs at most what the kernel spent writing those
-// nodes' ports. Delivery order is immaterial: each receive slot has a
-// single writer.
-func (r *run) exchange() {
+// countCrossed runs on the coordinator at the round barrier, before the
+// nodes that left the frontier are retired, while next still holds exactly
+// what this round's steps wrote. For every node that stepped it counts the
+// real messages on its cross-part ports. Edges of sleeping and terminated
+// senders are left out: leave counts a napper's standing sends, and a frozen
+// output costs nothing. The walk costs at most what the kernel spent writing
+// those nodes' ports.
+func (r *run) countCrossed() {
 	for i := range r.units {
 		u := &r.units[i]
-		for _, v := range u.p.active[u.lo:u.hi] {
+		p := u.p
+		for _, v := range p.active[u.lo:u.hi] {
 			for e := r.off[v]; e < r.off[v+1]; e++ {
-				if s := r.dst[e]; s != r.rev[e] {
-					x := r.next[s]
-					r.next[r.rev[e]] = x
-					if x != nil {
-						u.p.stats.MessagesCrossed++
-					}
+				if w := r.nbrs[e]; (w < p.lo || w >= p.hi) && r.next[r.rev[e]] != nil {
+					p.stats.MessagesCrossed++
 				}
 			}
 		}

@@ -27,10 +27,11 @@
 //   - parallel (WithParallelism): the same part, with each round's
 //     frontier cut into contiguous chunks, one per goroutine;
 //   - sharded (WithShards): the tree is partitioned into contiguous
-//     node-range parts, each with its own machines, frontier, and message
-//     slots, stepped one goroutine per part and exchanging only cross-part
-//     boundary messages through an in-memory bus between rounds (the seam a
-//     multi-process executor plugs into).
+//     node-range parts, each with its own machines, frontier, and receive
+//     slots, stepped one goroutine per part; a send to another part's node
+//     is written straight into that node's receive slot, as on the other
+//     backends, and the round barrier counts the messages that crossed
+//     parts for Result.Shards.
 //
 // The calling goroutine steps the first chunk or part itself; the others
 // run on goroutines that live from the first round that needs them to the
